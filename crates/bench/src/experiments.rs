@@ -1492,6 +1492,22 @@ mod tests {
             worst.rms_vs_mil,
             rows[0].rms_vs_mil
         );
+        // the reproduction, pinned: each row's CRC count and the bits of
+        // its drop fraction and RMS deviation
+        let pinned: [(u64, u64, u64); 5] = [
+            (0, 0x0, 0x3f93584198320393),
+            (1, 0x3f8b4e81b4e81b4f, 0x3fe7753a5cba071b),
+            (9, 0x3fb2c5f92c5f92c6, 0x401c4ab8fd9bac89),
+            (22, 0x3fcdddddddddddde, 0x40362f3a66b3e8dd),
+            (35, 0x3fd5555555555555, 0x403c780d23bfa10a),
+        ];
+        assert_eq!(rows.len(), pinned.len());
+        for (r, &(crc, drop_bits, rms_bits)) in rows.iter().zip(&pinned) {
+            let p = r.corruption_prob;
+            assert_eq!(r.crc_errors, crc, "p = {p}");
+            assert_eq!(r.drop_fraction.to_bits(), drop_bits, "p = {p}: {}", r.drop_fraction);
+            assert_eq!(r.rms_vs_mil.to_bits(), rms_bits, "p = {p}: {}", r.rms_vs_mil);
+        }
     }
 
     #[test]

@@ -262,40 +262,9 @@ pub fn make_pil_session(
         link,
         corruption_prob,
         FaultSchedule::default(),
-        None,
+        ArqConfig::FIRE_AND_FORGET,
         trace_capacity,
     )
-}
-
-/// Like [`run_pil_link`] with a deterministic [`FaultSchedule`] replayed
-/// on the wire — the verification harness's fault-injection entry point.
-/// Returns the stats (whose error counters must equal the schedule) and
-/// the logged plant trajectory.
-pub fn run_pil_faulted(
-    opts: &ServoOptions,
-    cpu: &str,
-    link: LinkKind,
-    faults: FaultSchedule,
-    trace_capacity: usize,
-    steps: u64,
-) -> Result<(PilStats, SignalLog), String> {
-    let (mut session, log) = make_pil_session_faulted(opts, cpu, link, faults, trace_capacity)?;
-    session.run(steps)?;
-    let stats = session.stats().clone();
-    let speed = lock(&log).clone();
-    Ok((stats, speed))
-}
-
-/// [`make_pil_session`] with a deterministic fault schedule instead of
-/// probabilistic line noise.
-pub fn make_pil_session_faulted(
-    opts: &ServoOptions,
-    cpu: &str,
-    link: LinkKind,
-    faults: FaultSchedule,
-    trace_capacity: usize,
-) -> Result<(PilSession, SharedLog), String> {
-    assemble_pil_session(opts, cpu, link, 0.0, faults, None, trace_capacity)
 }
 
 /// Outcome of a fault-tolerant PIL run: the stats, the logged plant
@@ -315,11 +284,13 @@ pub struct ResilientPilReport {
     pub degraded_at_step: Option<u64>,
 }
 
-/// Like [`run_pil_faulted`] but over the reliable ARQ transport: faulted
-/// exchanges are retransmitted within the retry budget, and a link the
-/// watchdog declares dead degrades to host-side MIL execution instead of
-/// erroring — the run always completes, with the degradation flagged in
-/// the report.
+/// Like [`run_pil_link`] with a deterministic [`FaultSchedule`] replayed
+/// on the wire under the transport policy `arq`: faulted exchanges are
+/// retransmitted within the retry budget, and a link the watchdog
+/// declares dead degrades to host-side MIL execution instead of erroring
+/// — the run always completes, with the degradation flagged in the
+/// report. [`ArqConfig::FIRE_AND_FORGET`] gives the zero-budget exchange
+/// whose error counters equal the schedule.
 pub fn run_pil_resilient(
     opts: &ServoOptions,
     cpu: &str,
@@ -342,9 +313,10 @@ pub fn run_pil_resilient(
     })
 }
 
-/// [`make_pil_session_faulted`] with the ARQ transport enabled — the
-/// session behind [`run_pil_resilient`], exposed for callers that need
-/// the live session (tracer, profiles) after the run.
+/// The servo PIL session under a deterministic fault schedule and the
+/// transport policy `arq` — the session behind [`run_pil_resilient`],
+/// exposed for callers that need the live session (tracer, profiles)
+/// after the run.
 pub fn make_pil_session_resilient(
     opts: &ServoOptions,
     cpu: &str,
@@ -353,7 +325,7 @@ pub fn make_pil_session_resilient(
     arq: ArqConfig,
     trace_capacity: usize,
 ) -> Result<(PilSession, SharedLog), String> {
-    assemble_pil_session(opts, cpu, link, 0.0, faults, Some(arq), trace_capacity)
+    assemble_pil_session(opts, cpu, link, 0.0, faults, arq, trace_capacity)
 }
 
 fn assemble_pil_session(
@@ -362,7 +334,7 @@ fn assemble_pil_session(
     link: LinkKind,
     corruption_prob: f64,
     faults: FaultSchedule,
-    arq: Option<ArqConfig>,
+    arq: ArqConfig,
     trace_capacity: usize,
 ) -> Result<(PilSession, SharedLog), String> {
     let spec = McuCatalog::standard()
@@ -384,7 +356,6 @@ fn assemble_pil_session(
         rx_isr_cycles: 60,
         corruption_prob,
         noise_seed: 0x5EED,
-        corrupt_steps: Vec::new(),
         faults,
         arq,
         trace_capacity,
@@ -637,15 +608,17 @@ mod tests {
             overrun_steps: vec![60],
             drop_reply_steps: Vec::new(),
         };
-        let (stats, _speed) = run_pil_faulted(
+        let stats = run_pil_resilient(
             &fast_opts(),
             "MC56F8367",
             LinkKind::Spi { clock_hz: 2_000_000 },
             faults.clone(),
+            ArqConfig::FIRE_AND_FORGET,
             1 << 12,
             100,
         )
-        .unwrap();
+        .unwrap()
+        .stats;
         assert_eq!(stats.steps, 100);
         assert_eq!(stats.crc_errors, faults.corrupt_steps.len() as u64);
         assert_eq!(

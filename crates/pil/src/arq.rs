@@ -36,7 +36,11 @@ pub struct ArqConfig {
     /// Retransmissions allowed per exchange (attempts = `max_retries` + 1).
     pub max_retries: u32,
     /// Per-attempt reply deadline as a multiple of the nominal exchange
-    /// time (must exceed 1.0 or every clean exchange would time out).
+    /// time. On the bus ([`crate::multi`]) it must exceed 1.0: the ACK
+    /// lands at the nominal time, so 1.0 would time out every clean
+    /// exchange, and [`crate::multi::MultiPilSession::new`] rejects it.
+    /// [`crate::cosim::PilSession`] accepts a delivered reply before it
+    /// checks the deadline, so 1.0 is safe there.
     pub timeout_factor: f64,
     /// First backoff delay as a multiple of the nominal exchange time;
     /// retry `r` backs off `base · 2^(r−1)`, capped.
@@ -48,15 +52,32 @@ pub struct ArqConfig {
     pub watchdog_failures: u32,
 }
 
+impl ArqConfig {
+    const DEFAULT: ArqConfig = ArqConfig {
+        max_retries: 3,
+        timeout_factor: 2.0,
+        backoff_base_factor: 0.5,
+        backoff_max_factor: 4.0,
+        watchdog_failures: 3,
+    };
+
+    /// Fire-and-forget, the zero-budget policy: one attempt per period,
+    /// no retransmission, and a watchdog that never fires, so a lost
+    /// frame holds the last output for that period. The reply deadline
+    /// is one nominal exchange, so a faulted step lasts as long as a
+    /// clean one. The default of [`crate::cosim::PilConfig::arq`], and
+    /// valid only there: its deadline is too short for the bus.
+    pub const FIRE_AND_FORGET: ArqConfig = ArqConfig {
+        max_retries: 0,
+        timeout_factor: 1.0,
+        watchdog_failures: u32::MAX,
+        ..ArqConfig::DEFAULT
+    };
+}
+
 impl Default for ArqConfig {
     fn default() -> Self {
-        ArqConfig {
-            max_retries: 3,
-            timeout_factor: 2.0,
-            backoff_base_factor: 0.5,
-            backoff_max_factor: 4.0,
-            watchdog_failures: 3,
-        }
+        ArqConfig::DEFAULT
     }
 }
 

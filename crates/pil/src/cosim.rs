@@ -13,10 +13,13 @@
 //! processor is sufficient".
 
 use crate::arq::{Admission, ArqConfig, ArqTiming, LinkHealth, LinkSupervisor, ReplicaGate};
-use crate::packet::{from_sample, to_sample, Packet, PacketParser, OVERHEAD_BYTES};
+use crate::packet::{
+    from_sample, quantize_roundtrip, to_sample, Packet, PacketParser, OVERHEAD_BYTES,
+};
 use peert_codegen::TaskImage;
 use peert_mcu::board::vectors;
 use peert_mcu::board::Mcu;
+use peert_mcu::peripherals::sci::FIFO_DEPTH;
 use peert_mcu::{Cycles, McuSpec};
 use peert_rtexec::{Executive, TaskProfile};
 use peert_trace::EventId;
@@ -49,32 +52,44 @@ pub enum LinkKind {
     },
 }
 
-/// A deterministic schedule of injected PIL faults, generalizing the
-/// single-kind `corrupt_steps` knob: every listed step number triggers
-/// exactly one fault of that kind, so a verification harness can assert
-/// the traced error counters *equal* the schedule (not merely "some
-/// errors happened").
+/// A deterministic schedule of injected PIL faults: every listed step
+/// number triggers faults of that kind, so a verification harness can
+/// assert the traced error counters *equal* the schedule (not merely
+/// "some errors happened").
 ///
 /// Kinds:
 /// * `corrupt_steps` — one payload bit of the inbound sensor frame is
-///   flipped; CRC-16 catches it, so each step yields exactly one CRC
-///   error and one dropped exchange.
+///   flipped; CRC-16 catches it, so each occurrence yields exactly one
+///   CRC error.
 /// * `drop_steps` — the inbound frame is lost entirely (line time still
-///   elapses); one dropped exchange, no CRC error.
+///   elapses); no CRC error.
 /// * `overrun_steps` — the controller step is stretched past the control
 ///   period (a scheduler overrun); exactly one deadline miss.
 /// * `drop_reply_steps` — the outbound actuation frame is lost on the
-///   wire (only meaningful with [`PilConfig::arq`]: the board executed
-///   the step, so the retransmitted request is answered from the reply
-///   cache without re-stepping the controller).
+///   wire. The board executed the step, so a retransmitted request is
+///   answered from the reply cache without re-stepping the controller.
 ///
-/// Under the ARQ transport ([`PilConfig::arq`]) the *occurrence count*
-/// of a step in a fault list is the number of consecutive attempts of
-/// that exchange the fault defeats — list step 7 three times in
-/// `corrupt_steps` and the first three attempts at step 7 arrive
-/// corrupted. The legacy (non-ARQ) path keeps the original boolean
-/// semantics: a listed step faults exactly once, duplicates are
-/// ignored.
+/// The *occurrence count* of a step in the corrupt, drop and drop-reply
+/// lists is the number of consecutive attempts of that exchange the
+/// faults defeat, corrupt first, then drop, then drop-reply — list step
+/// 7 three times in `corrupt_steps` and the first three attempts at step
+/// 7 arrive corrupted. An exchange whose every attempt is defeated is
+/// lost: one failed and one dropped exchange, and the host holds its
+/// last output. `overrun_steps` is boolean: a listed step overruns
+/// once, duplicates are ignored.
+///
+/// Under [`ArqConfig::FIRE_AND_FORGET`] (the default) each exchange has
+/// one attempt, and a faulted step loses its exchange. The host waits
+/// one nominal exchange for the reply that never comes, so on that step:
+/// * [`PilStats::step_cycles`] include the compute time the board never
+///   ran;
+/// * one timeout and one failed exchange are counted, so `timeouts ==
+///   failed_exchanges == dropped_exchanges`;
+/// * no `pil.tx` span is traced;
+/// * only the first fault counts: a step in both `corrupt_steps` and
+///   `drop_steps` counts one CRC error, because corruption comes first;
+/// * `drop_reply_steps` applies too: the board runs the step, its reply
+///   is lost, and the host holds its last output.
 ///
 /// The schedule is replayed verbatim on every run, so two sessions with
 /// the same configuration produce byte-identical trajectories.
@@ -86,28 +101,11 @@ pub struct FaultSchedule {
     pub drop_steps: Vec<u64>,
     /// Steps whose controller step overruns the control period.
     pub overrun_steps: Vec<u64>,
-    /// Steps whose outbound actuation frame is dropped on the wire
-    /// (ARQ sessions only; the legacy path ignores this list).
+    /// Steps whose outbound actuation frame is dropped on the wire.
     pub drop_reply_steps: Vec<u64>,
 }
 
 impl FaultSchedule {
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.corrupt_steps.is_empty()
-            && self.drop_steps.is_empty()
-            && self.overrun_steps.is_empty()
-            && self.drop_reply_steps.is_empty()
-    }
-
-    /// Total number of scheduled faults of all kinds.
-    pub fn len(&self) -> usize {
-        self.corrupt_steps.len()
-            + self.drop_steps.len()
-            + self.overrun_steps.len()
-            + self.drop_reply_steps.len()
-    }
-
     /// Occurrence count of `step` in `list` — the ARQ fault multiplicity.
     fn multiplicity(list: &[u64], step: u64) -> u32 {
         list.iter().filter(|&&s| s == step).count() as u32
@@ -133,27 +131,21 @@ pub struct PilConfig {
     pub rx_isr_cycles: Cycles,
     /// Per-byte corruption probability on the wire (line-noise fault
     /// injection; 0.0 = clean line). Corrupted frames fail CRC and the
-    /// exchange degrades to hold-last-output.
+    /// attempt is lost, like a scheduled fault.
     pub corruption_prob: f64,
     /// Seed for the deterministic noise source.
     pub noise_seed: u64,
-    /// Steps whose inbound sensor frame gets exactly one payload bit
-    /// flipped — deterministic fault injection, independent of
-    /// `corruption_prob`. CRC-16 detects every single-bit error, so each
-    /// listed step contributes exactly one CRC error and one dropped
-    /// exchange.
-    pub corrupt_steps: Vec<u64>,
     /// Deterministic multi-kind fault schedule (corruption, frame drops,
     /// scheduler overruns) — see [`FaultSchedule`]. Defaults to empty.
     pub faults: FaultSchedule,
-    /// Reliable-transport policy. `None` (the default) keeps the legacy
-    /// fire-and-forget exchange: a faulted frame loses the sample and the
-    /// board holds its last output. `Some` wraps every exchange in the
-    /// sequence-numbered ARQ protocol of [`crate::arq`]: bounded
-    /// retransmission with exponential backoff, duplicate suppression on
-    /// the board, and watchdog-triggered fallback to host-side MIL
-    /// execution once the link is declared degraded.
-    pub arq: Option<ArqConfig>,
+    /// Transport policy: every exchange runs the sequence-numbered ARQ
+    /// protocol of [`crate::arq`] — bounded retransmission with
+    /// exponential backoff, duplicate suppression on the board, and
+    /// watchdog-triggered fallback to host-side MIL execution once the
+    /// link is declared degraded. The default,
+    /// [`ArqConfig::FIRE_AND_FORGET`], is the zero-budget policy: one
+    /// attempt per period, and a lost frame holds the last output.
+    pub arq: ArqConfig,
     /// Ring capacity of the board trace (0 = tracing off). When set, the
     /// session records per-packet RX/TX spans, controller-step spans, and
     /// CRC/drop/line-stall counters on the executive's tracer.
@@ -172,9 +164,8 @@ impl Default for PilConfig {
             rx_isr_cycles: 60,
             corruption_prob: 0.0,
             noise_seed: 0x5EED,
-            corrupt_steps: Vec::new(),
             faults: FaultSchedule::default(),
-            arq: None,
+            arq: ArqConfig::FIRE_AND_FORGET,
             trace_capacity: 0,
         }
     }
@@ -221,21 +212,28 @@ pub struct PilStats {
     pub compute_cycles: Vec<Cycles>,
     /// Outbound communication cycles per step.
     pub comm_out_cycles: Vec<Cycles>,
-    /// Total step durations in cycles.
+    /// Total step durations in cycles. A lost exchange lasts until its
+    /// last reply deadline; under [`ArqConfig::FIRE_AND_FORGET`] that is
+    /// one nominal exchange, compute time included although the board
+    /// never ran the step.
     pub step_cycles: Vec<Cycles>,
     /// Steps whose duration exceeded the control period.
     pub deadline_misses: u64,
     /// CRC errors seen by the board parser.
     pub crc_errors: u64,
-    /// Exchanges lost to line noise (controller held its last output).
+    /// Exchanges lost on the wire: every attempt was defeated and the
+    /// host held its last output.
     pub dropped_exchanges: u64,
     /// Scheduler overruns injected by the fault schedule (each one is
     /// also counted as a deadline miss).
     pub injected_overruns: u64,
-    /// ARQ retransmissions sent by the host (0 without [`PilConfig::arq`]).
+    /// ARQ retransmissions sent by the host (always 0 under
+    /// [`ArqConfig::FIRE_AND_FORGET`], whose budget is zero).
     pub retries: u64,
     /// ARQ reply deadlines that expired. Invariant:
-    /// `timeouts == retries + failed_exchanges`.
+    /// `timeouts == retries + failed_exchanges`, so under
+    /// [`ArqConfig::FIRE_AND_FORGET`] `timeouts == failed_exchanges ==
+    /// dropped_exchanges`.
     pub timeouts: u64,
     /// ARQ exchanges that exhausted their retry budget (each is also
     /// counted in `dropped_exchanges`).
@@ -320,9 +318,10 @@ pub struct PilSession {
     ctl_profile: TaskProfile,
     trace_ids: Option<PilTraceIds>,
     crc_seen: u64,
-    /// ARQ watchdog (unused — always healthy — without `cfg.arq`).
+    /// ARQ watchdog (never fires under [`ArqConfig::FIRE_AND_FORGET`]).
     supervisor: LinkSupervisor,
-    /// Board-side duplicate/stale suppression over the frame seq.
+    /// Board-side duplicate/stale suppression over the frame seq,
+    /// resynced after every failed exchange.
     gate: ReplicaGate,
     /// The board's cached reply for the last committed exchange.
     cached_reply: Option<Packet>,
@@ -330,7 +329,8 @@ pub struct PilSession {
 
 impl PilSession {
     /// Assemble a session: board MCU from `spec`, controller priced by
-    /// `image`, plant on the host side.
+    /// `image`, plant on the host side. Errors when `spec` has no SCI or
+    /// a frame in either direction is wider than the SCI FIFO.
     pub fn new(
         spec: &McuSpec,
         image: &TaskImage,
@@ -340,6 +340,18 @@ impl PilSession {
     ) -> Result<Self, String> {
         if spec.sci_count == 0 {
             return Err(format!("{} has no SCI for the PIL link", spec.name));
+        }
+        // a frame is queued whole on one side and drained whole on the
+        // other, so it must fit the FIFO
+        let directions = [("sensor", cfg.sensor_channels), ("actuation", cfg.actuation_channels)];
+        for (dir, channels) in directions {
+            let bytes = OVERHEAD_BYTES + 2 * channels;
+            if bytes > FIFO_DEPTH {
+                return Err(format!(
+                    "{dir} frame of {channels} channels is {bytes} bytes, wider than the \
+                     {FIFO_DEPTH}-byte SCI FIFO"
+                ));
+            }
         }
         let mut mcu = Mcu::new(spec);
         match cfg.link {
@@ -381,9 +393,7 @@ impl PilSession {
         Ok(PilSession {
             noise: Noise::new(cfg.noise_seed, cfg.corruption_prob),
             last_actuation: vec![0.0; cfg.actuation_channels],
-            supervisor: LinkSupervisor::new(
-                cfg.arq.map_or(1, |a| a.watchdog_failures),
-            ),
+            supervisor: LinkSupervisor::new(cfg.arq.watchdog_failures),
             gate: ReplicaGate::new(),
             cached_reply: None,
             exec,
@@ -400,224 +410,6 @@ impl PilSession {
         })
     }
 
-    /// Run `steps` control periods; returns the stats.
-    ///
-    /// With [`PilConfig::arq`] set the exchange is reliable: faulted
-    /// frames are retransmitted within the retry budget and a degraded
-    /// link falls back to host-side MIL execution — the run completes
-    /// (flagged via [`PilStats::degraded_steps`]) instead of erroring.
-    pub fn run(&mut self, steps: u64) -> Result<&PilStats, String> {
-        if self.cfg.arq.is_some() {
-            self.run_arq(steps)
-        } else {
-            self.run_legacy(steps)
-        }
-    }
-
-    /// The legacy fire-and-forget exchange: one attempt per period, a
-    /// faulted frame loses the sample (held output), counters observe.
-    fn run_legacy(&mut self, steps: u64) -> Result<&PilStats, String> {
-        let byte_cycles = self.exec.mcu.scis[0].byte_time_cycles();
-        let mut sensors = (self.plant)(&vec![0.0; self.cfg.actuation_channels], 0.0);
-        if sensors.len() != self.cfg.sensor_channels {
-            return Err(format!(
-                "plant produced {} channels, config says {}",
-                sensors.len(),
-                self.cfg.sensor_channels
-            ));
-        }
-
-        let ids = self.trace_ids;
-        for step in 0..steps {
-            let t0 = self.exec.mcu.now();
-            let mut dropped_this_step = false;
-            if let Some(ids) = ids {
-                // opened before reception so the comm ISR task spans the
-                // executive records nest inside it
-                self.exec.tracer_mut().begin(ids.rx, t0);
-            }
-
-            // --- host → board: sensor packet, serialized on the wire ---
-            let samples: Vec<i16> =
-                sensors.iter().map(|&v| to_sample(v, self.cfg.sensor_scale)).collect();
-            let pkt = Packet::new(self.seq, samples)?;
-            let bytes = pkt.encode();
-            // a scheduled frame drop: the wire time elapses but no byte
-            // reaches the board's SCI
-            let drop_inbound = self.cfg.faults.drop_steps.contains(&step);
-            let corrupt_inbound = self.cfg.corrupt_steps.contains(&step)
-                || self.cfg.faults.corrupt_steps.contains(&step);
-            if !drop_inbound {
-                for (j, &b) in bytes.iter().enumerate() {
-                    let arrives = t0 + (j as Cycles + 1) * byte_cycles;
-                    let mut wire_byte = self.noise.corrupt(b);
-                    if j == 3 && corrupt_inbound {
-                        // flip one bit of the first payload byte
-                        wire_byte ^= 0x01;
-                    }
-                    self.exec.mcu.scis[0].inject_rx(wire_byte, arrives);
-                }
-            }
-            let rx_done = t0 + bytes.len() as Cycles * byte_cycles;
-            // run the board through the reception (comm ISR per byte)
-            self.exec.run_until(rx_done + 1);
-            let comm_in = self.exec.mcu.now() - t0;
-            if let Some(ids) = ids {
-                self.exec.tracer_mut().end(ids.rx, t0 + comm_in);
-            }
-
-            // drain the SCI FIFO through the parser
-            let mut request = None;
-            while let Some(b) = self.exec.mcu.scis[0].recv() {
-                if let Some(p) = self.parser.push(b) {
-                    request = Some(p);
-                }
-            }
-            // surface newly detected CRC errors on the trace
-            let crc_now = self.parser.crc_errors();
-            if let Some(ids) = ids {
-                let delta = crc_now - self.crc_seen;
-                if delta > 0 {
-                    let now = self.exec.mcu.now();
-                    let tracer = self.exec.tracer_mut();
-                    tracer.add(ids.crc_ctr, delta);
-                    tracer.instant(ids.crc_inst, now);
-                }
-            }
-            self.crc_seen = crc_now;
-            // a corrupted frame fails CRC: the controller step does not run
-            // this period and the board holds its last actuation (§6's
-            // redirected-peripheral semantics under line faults)
-            let actuation = match request {
-                Some(request) => {
-                    // --- controller step (the generated code, priced) ---
-                    let table = self.exec.mcu.spec.cost_table();
-                    let compute = table.isr_entry as Cycles
-                        + self.image_step_cycles
-                        + table.isr_exit as Cycles;
-                    let ctl_start = self.exec.mcu.now();
-                    self.exec.mcu.advance(compute);
-                    let ctl_end = self.exec.mcu.now();
-                    if let Some(ids) = ids {
-                        let tracer = self.exec.tracer_mut();
-                        tracer.begin(ids.ctl, ctl_start);
-                        tracer.end(ids.ctl, ctl_end);
-                    }
-                    // release = period start: response covers the wire time,
-                    // start deltas feed the sampling-jitter histogram
-                    self.ctl_profile.record(t0, ctl_start, ctl_end);
-                    let sensor_vals: Vec<f64> = request
-                        .samples
-                        .iter()
-                        .map(|&s| from_sample(s, self.cfg.sensor_scale))
-                        .collect();
-                    let actuation = (self.controller)(&sensor_vals);
-                    if actuation.len() != self.cfg.actuation_channels {
-                        return Err(format!(
-                            "controller produced {} channels, config says {}",
-                            actuation.len(),
-                            self.cfg.actuation_channels
-                        ));
-                    }
-                    self.last_actuation.clone_from(&actuation);
-                    actuation
-                }
-                None => {
-                    if self.cfg.corruption_prob == 0.0
-                        && self.cfg.corrupt_steps.is_empty()
-                        && self.cfg.faults.is_empty()
-                    {
-                        return Err(format!("step {step}: no complete packet on the board"));
-                    }
-                    self.stats.dropped_exchanges += 1;
-                    dropped_this_step = true;
-                    if let Some(ids) = ids {
-                        self.exec.tracer_mut().add(ids.dropped_ctr, 1);
-                    }
-                    self.last_actuation.clone()
-                }
-            };
-
-            // a scheduled scheduler overrun: the controller step is
-            // stretched by a full control period, guaranteeing exactly one
-            // deadline miss on this step
-            if self.cfg.faults.overrun_steps.contains(&step) {
-                let period_cycles =
-                    self.exec.mcu.clock.secs_to_cycles(self.cfg.control_period_s);
-                self.exec.mcu.advance(period_cycles);
-                self.stats.injected_overruns += 1;
-                if let Some(ids) = ids {
-                    self.exec.tracer_mut().add(ids.overrun_ctr, 1);
-                }
-            }
-
-            // --- board → host: actuation packet ---
-            let reply_samples: Vec<i16> =
-                actuation.iter().map(|&v| to_sample(v, self.cfg.actuation_scale)).collect();
-            let reply = Packet::new(self.seq, reply_samples)?;
-            let tx_start = self.exec.mcu.now();
-            if let Some(ids) = ids {
-                self.exec.tracer_mut().begin(ids.tx, tx_start);
-            }
-            for &b in &reply.encode() {
-                let now = self.exec.mcu.now();
-                if !self.exec.mcu.scis[0].send(b, now) {
-                    return Err(format!("step {step}: board TX FIFO overflow"));
-                }
-            }
-            // run until the line drained
-            while self.exec.mcu.scis[0].tx_backlog() > 0 {
-                let now = self.exec.mcu.now();
-                self.exec.run_until(now + byte_cycles);
-            }
-            let step_end = self.exec.mcu.now();
-            let comm_out = step_end - tx_start;
-            if let Some(ids) = ids {
-                let tracer = self.exec.tracer_mut();
-                tracer.end(ids.tx, step_end);
-                // serial-line stall: cycles the board spent on the wire
-                tracer.add(ids.line_ctr, comm_in + comm_out);
-            }
-
-            // host receives, applies actuation, advances the plant
-            let actuation_rx: Vec<f64> = reply
-                .samples
-                .iter()
-                .map(|&s| from_sample(s, self.cfg.actuation_scale))
-                .collect();
-            sensors = (self.plant)(&actuation_rx, self.cfg.control_period_s);
-
-            // bookkeeping
-            let total = step_end - t0;
-            let period_cycles = self.exec.mcu.clock.secs_to_cycles(self.cfg.control_period_s);
-            if total > period_cycles {
-                self.stats.deadline_misses += 1;
-            } else {
-                // board idles until the next period boundary (real time)
-                self.exec.run_until(t0 + period_cycles);
-            }
-            self.stats.steps += 1;
-            self.stats.comm_in_cycles.push(comm_in);
-            // a dropped exchange never ran the controller: its compute cost
-            // is zero in the per-step accounting
-            let table = self.exec.mcu.spec.cost_table();
-            let step_compute = if dropped_this_step {
-                0
-            } else {
-                table.isr_entry as Cycles + self.image_step_cycles + table.isr_exit as Cycles
-            };
-            self.stats.compute_cycles.push(step_compute);
-            self.stats.comm_out_cycles.push(comm_out);
-            self.stats.step_cycles.push(total);
-            let t_s = step as f64 * self.cfg.control_period_s;
-            self.stats.trajectory_t.push(t_s);
-            self.stats.trajectory_y.push(sensors.first().copied().unwrap_or(0.0));
-            self.seq = self.seq.wrapping_add(1);
-        }
-        self.stats.crc_errors = self.parser.crc_errors();
-        Ok(&self.stats)
-    }
-
     /// Cycles a clean exchange takes end to end: both frames' wire time
     /// plus the priced controller step — the base unit the ARQ timeout
     /// and backoff are derived from.
@@ -632,11 +424,11 @@ impl PilSession {
             + table.isr_exit as Cycles
     }
 
-    /// The absolute ARQ timing this session runs with (`None` without
-    /// [`PilConfig::arq`]) — lets tests and experiments compute the
-    /// worst-case recovery bound for the configured link.
-    pub fn arq_timing(&self) -> Option<ArqTiming> {
-        self.cfg.arq.as_ref().map(|a| ArqTiming::derive(a, self.nominal_exchange_cycles()))
+    /// The absolute ARQ timing this session runs with — lets tests and
+    /// experiments compute the worst-case recovery bound for the
+    /// configured link.
+    pub fn arq_timing(&self) -> ArqTiming {
+        ArqTiming::derive(&self.cfg.arq, self.nominal_exchange_cycles())
     }
 
     /// True once the watchdog has declared the link degraded (sticky;
@@ -645,12 +437,17 @@ impl PilSession {
         self.supervisor.is_degraded()
     }
 
-    /// The reliable exchange: sequence-numbered ARQ with bounded
-    /// retransmission, duplicate suppression, and watchdog-triggered
-    /// fallback to host-side MIL execution of the quantized replica.
-    fn run_arq(&mut self, steps: u64) -> Result<&PilStats, String> {
-        let arq = self.cfg.arq.expect("run_arq requires cfg.arq");
-        let timing = ArqTiming::derive(&arq, self.nominal_exchange_cycles());
+    /// Run `steps` control periods; returns the stats.
+    ///
+    /// Each period is one ARQ exchange under [`PilConfig::arq`]:
+    /// sequence-numbered, with bounded retransmission, duplicate
+    /// suppression, and watchdog-triggered fallback to host-side MIL
+    /// execution of the quantized replica. A degraded link completes the
+    /// run on the fallback (flagged via [`PilStats::degraded_steps`])
+    /// instead of erroring.
+    pub fn run(&mut self, steps: u64) -> Result<&PilStats, String> {
+        let max_retries = self.cfg.arq.max_retries;
+        let timing = self.arq_timing();
         let byte_cycles = self.exec.mcu.scis[0].byte_time_cycles();
         let period_cycles = self.exec.mcu.clock.secs_to_cycles(self.cfg.control_period_s);
 
@@ -671,11 +468,8 @@ impl PilSession {
                 // --- host-side MIL fallback: the quantized replica of the
                 // board path (i16 round-trip on sensors and actuations), no
                 // wire traffic, controller stepped exactly once ---
-                let qs: Vec<f64> = sensors
-                    .iter()
-                    .map(|&v| from_sample(to_sample(v, self.cfg.sensor_scale), self.cfg.sensor_scale))
-                    .collect();
-                let actuation = (self.controller)(&qs);
+                let actuation =
+                    (self.controller)(&quantize_roundtrip(&sensors, self.cfg.sensor_scale));
                 if actuation.len() != self.cfg.actuation_channels {
                     return Err(format!(
                         "controller produced {} channels, config says {}",
@@ -683,12 +477,7 @@ impl PilSession {
                         self.cfg.actuation_channels
                     ));
                 }
-                let applied: Vec<f64> = actuation
-                    .iter()
-                    .map(|&v| {
-                        from_sample(to_sample(v, self.cfg.actuation_scale), self.cfg.actuation_scale)
-                    })
-                    .collect();
+                let applied = quantize_roundtrip(&actuation, self.cfg.actuation_scale);
                 self.last_actuation.clone_from(&applied);
                 self.stats.degraded_steps += 1;
                 if let Some(ids) = ids {
@@ -710,8 +499,7 @@ impl PilSession {
 
             // per-attempt fault plan: the occurrence count of this step in
             // each list is how many consecutive attempts that fault defeats
-            let n_corrupt = FaultSchedule::multiplicity(&self.cfg.faults.corrupt_steps, step)
-                + FaultSchedule::multiplicity(&self.cfg.corrupt_steps, step);
+            let n_corrupt = FaultSchedule::multiplicity(&self.cfg.faults.corrupt_steps, step);
             let n_drop_req = FaultSchedule::multiplicity(&self.cfg.faults.drop_steps, step);
             let n_drop_rep = FaultSchedule::multiplicity(&self.cfg.faults.drop_reply_steps, step);
             #[derive(Clone, Copy, PartialEq)]
@@ -817,6 +605,9 @@ impl PilSession {
                                 tracer.begin(ids.ctl, ctl_start);
                                 tracer.end(ids.ctl, ctl_end);
                             }
+                            // release = period start: response covers the
+                            // wire time, start deltas feed the
+                            // sampling-jitter histogram
                             self.ctl_profile.record(t0, ctl_start, ctl_end);
                             compute_this_step = compute;
                             let sensor_vals: Vec<f64> = request
@@ -913,14 +704,14 @@ impl PilSession {
                         self.exec.tracer_mut().end(ids.retry, now);
                     }
                 }
-                if attempt >= arq.max_retries {
+                if attempt >= max_retries {
                     break; // budget exhausted: the exchange failed
                 }
                 attempt += 1;
             }
 
-            // a scheduled scheduler overrun (boolean semantics, as in the
-            // legacy path): stretch the step past the control period
+            // a scheduled scheduler overrun (boolean semantics): stretch
+            // the step past the control period
             if self.cfg.faults.overrun_steps.contains(&step) {
                 self.exec.mcu.advance(period_cycles);
                 self.stats.injected_overruns += 1;
@@ -937,13 +728,19 @@ impl PilSession {
                     a
                 }
                 None => {
-                    // budget exhausted: hold the last applied actuation and
-                    // let the watchdog judge the link
+                    // budget exhausted: hold the last applied actuation
+                    // (§6's redirected-peripheral semantics under line
+                    // faults) and let the watchdog judge the link
                     self.stats.failed_exchanges += 1;
                     self.stats.dropped_exchanges += 1;
                     if let Some(ids) = ids {
                         self.exec.tracer_mut().add(ids.dropped_ctr, 1);
                     }
+                    // resync the board's gate: no retransmission of this
+                    // SEQ follows, and the 8-bit serial-number window
+                    // cannot span an outage (128 lost exchanges would read
+                    // as stale, 256 as a duplicate of a long-gone reply)
+                    self.gate = ReplicaGate::new();
                     if self.supervisor.record_failure() == LinkHealth::Degraded
                         && self.stats.degraded_at_step.is_none()
                     {
@@ -956,7 +753,7 @@ impl PilSession {
             };
             sensors = (self.plant)(&applied, self.cfg.control_period_s);
 
-            // bookkeeping (same accounting as the legacy path)
+            // bookkeeping
             let total = step_end - t0;
             if total > period_cycles {
                 self.stats.deadline_misses += 1;
@@ -1193,7 +990,7 @@ mod tests {
         let corrupt_steps = vec![3u64, 7, 15, 16, 29];
         let injected = corrupt_steps.len() as u64;
         let cfg = PilConfig {
-            corrupt_steps: corrupt_steps.clone(),
+            faults: FaultSchedule { corrupt_steps: corrupt_steps.clone(), ..Default::default() },
             control_period_s: 2e-3,
             trace_capacity: 1 << 12,
             ..Default::default()
@@ -1244,6 +1041,9 @@ mod tests {
         );
         assert_eq!(stats.deadline_misses, faults.overrun_steps.len() as u64);
         assert_eq!(stats.injected_overruns, faults.overrun_steps.len() as u64);
+        // fire-and-forget: every lost exchange is one expired deadline
+        assert_eq!(stats.timeouts, stats.failed_exchanges);
+        assert_eq!(stats.failed_exchanges, stats.dropped_exchanges);
         let tracer = s.executive().tracer();
         assert_eq!(tracer.counter_by_name("pil.crc_errors"), Some(3));
         assert_eq!(tracer.counter_by_name("pil.dropped_exchanges"), Some(5));
@@ -1326,7 +1126,7 @@ mod tests {
             let cfg = PilConfig {
                 link: LinkKind::Spi { clock_hz: 2_000_000 },
                 faults,
-                arq: Some(ArqConfig::default()),
+                arq: ArqConfig::default(),
                 ..Default::default()
             };
             let mut s = session(cfg);
@@ -1343,7 +1143,8 @@ mod tests {
             drop_reply_steps: vec![20, 20, 25],
             overrun_steps: Vec::new(),
         };
-        let total = faults.len() as u64;
+        let total =
+            (faults.corrupt_steps.len() + faults.drop_steps.len() + faults.drop_reply_steps.len()) as u64;
         let faulted = run(faults);
         assert_eq!(faulted.steps, 40);
         assert_eq!(faulted.retries, total, "one retransmission per defeated attempt");
@@ -1364,8 +1165,8 @@ mod tests {
     }
 
     #[test]
-    fn arq_clean_run_matches_the_legacy_exchange_bit_for_bit() {
-        let run = |arq: Option<ArqConfig>| {
+    fn zero_budget_clean_run_matches_a_budgeted_run_bit_for_bit() {
+        let run = |arq: ArqConfig| {
             let cfg = PilConfig {
                 link: LinkKind::Spi { clock_hz: 2_000_000 },
                 arq,
@@ -1373,9 +1174,42 @@ mod tests {
             };
             let mut s = session(cfg);
             let st = s.run(30).unwrap();
-            st.trajectory_y.iter().map(|y| y.to_bits()).collect::<Vec<u64>>()
+            let bits = st.trajectory_y.iter().map(|y| y.to_bits()).collect::<Vec<u64>>();
+            (bits, st.step_cycles.clone())
         };
-        assert_eq!(run(None), run(Some(ArqConfig::default())));
+        assert_eq!(ArqConfig::FIRE_AND_FORGET.max_retries, 0);
+        assert_eq!(ArqConfig::default().max_retries, 3);
+        assert_eq!(run(ArqConfig::FIRE_AND_FORGET), run(ArqConfig::default()));
+    }
+
+    #[test]
+    fn fire_and_forget_holds_the_output_through_an_outage_longer_than_the_seq_window() {
+        // 200 lost exchanges outlast the 8-bit SEQ's serial-number window:
+        // the first request after the outage must still be taken as fresh
+        let applied = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = applied.clone();
+        let mut inner = plant();
+        let recording: PlantFn = Box::new(move |u: &[f64], dt: f64| {
+            log.lock().unwrap().push(u[0]);
+            inner(u, dt)
+        });
+        let cfg = PilConfig {
+            link: LinkKind::Spi { clock_hz: 2_000_000 },
+            faults: FaultSchedule { drop_steps: (10..210).collect(), ..Default::default() },
+            ..Default::default()
+        };
+        let controller: ControllerFn = Box::new(|s: &[f64]| vec![(0.5 - s[0]).clamp(0.0, 0.9)]);
+        let mut s = PilSession::new(&spec(), &image(), cfg, controller, recording).unwrap();
+        let stats = s.run(300).unwrap().clone();
+        assert_eq!((stats.dropped_exchanges, stats.failed_exchanges, stats.timeouts), (200, 200, 200));
+        assert_eq!((stats.duplicate_replies, stats.retries), (0, 0));
+        assert_eq!(s.ctl_profile().activations, 100);
+        assert!(!s.is_degraded());
+        // plant call 0 takes the initial sample; call k + 1 applies step k
+        let applied = applied.lock().unwrap();
+        let held = applied[10].to_bits();
+        assert!(applied[11..=210].iter().all(|u| u.to_bits() == held), "the outage holds step 9's output");
+        assert_ne!(applied[211].to_bits(), held, "step 210 runs the controller again");
     }
 
     #[test]
@@ -1390,7 +1224,7 @@ mod tests {
         let cfg = PilConfig {
             link: LinkKind::Spi { clock_hz: 2_000_000 },
             faults: FaultSchedule { drop_steps: burst, ..Default::default() },
-            arq: Some(ArqConfig::default()),
+            arq: ArqConfig::default(),
             ..Default::default()
         };
         let mut s = session(cfg);
@@ -1417,7 +1251,7 @@ mod tests {
                 drop_reply_steps: vec![6],
                 ..Default::default()
             },
-            arq: Some(ArqConfig::default()),
+            arq: ArqConfig::default(),
             trace_capacity: 1 << 12,
             ..Default::default()
         };
@@ -1449,15 +1283,41 @@ mod tests {
     fn arq_timing_is_exposed_for_the_configured_link() {
         let cfg = PilConfig {
             link: LinkKind::Spi { clock_hz: 2_000_000 },
-            arq: Some(ArqConfig::default()),
+            arq: ArqConfig::default(),
             ..Default::default()
         };
         let s = session(cfg);
-        let t = s.arq_timing().unwrap();
+        let t = s.arq_timing();
         assert!(t.timeout_cycles > 0);
         assert!(t.backoff_cap >= t.backoff_base);
-        // a session without ARQ exposes nothing
-        assert!(session(PilConfig::default()).arq_timing().is_none());
+        // fire-and-forget waits one nominal exchange, half the default
+        let faf = session(PilConfig { link: LinkKind::Spi { clock_hz: 2_000_000 }, ..Default::default() });
+        assert_eq!(2 * faf.arq_timing().timeout_cycles, t.timeout_cycles);
+    }
+
+    #[test]
+    fn frames_wider_than_the_sci_fifo_are_rejected_up_front() {
+        let build = |sensors: usize, actuations: usize| {
+            let cfg = PilConfig {
+                link: LinkKind::Spi { clock_hz: 2_000_000 },
+                sensor_channels: sensors,
+                actuation_channels: actuations,
+                ..Default::default()
+            };
+            let controller: ControllerFn = Box::new(move |_| vec![0.0; actuations]);
+            let plant: PlantFn = Box::new(move |_, _| vec![0.0; sensors]);
+            PilSession::new(&spec(), &image(), cfg, controller, plant)
+        };
+        // 29 channels: 5 + 2·29 = 63 bytes per frame, within the FIFO
+        let mut s = build(29, 29).unwrap();
+        let stats = s.run(10).unwrap().clone();
+        assert_eq!((stats.steps, stats.crc_errors, stats.dropped_exchanges), (10, 0, 0));
+        assert_eq!(s.ctl_profile().activations, 10);
+        // 30 channels: a 65-byte frame never fits the 64-byte FIFO whole
+        for (sensors, actuations) in [(30, 1), (1, 30)] {
+            let err = build(sensors, actuations).err().expect("oversized frame is rejected");
+            assert!(err.contains("65 bytes") && err.contains("64-byte SCI FIFO"), "{err}");
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@
 use crate::arq::{Admission, ArqConfig, ArqTiming, LinkHealth, LinkSupervisor, ReplicaGate};
 use crate::cosim::PlantFn;
 use crate::packet::{from_sample, to_sample};
+pub use crate::packet::quantize_roundtrip;
 use peert_bus::{BusConfig, BusCounters, BusFaultSchedule, BusFrame, Cycle, Delivery, FaultKind, SimBus};
 use peert_frame::{Dec, Deframer, Enc, RawFrame, WIRE_OVERHEAD};
 use peert_mcu::board::Mcu;
@@ -83,14 +84,6 @@ pub fn ack_wire_bytes() -> usize {
 /// Wire bytes of a STATUS heartbeat.
 pub fn status_wire_bytes() -> usize {
     WIRE_OVERHEAD + 4
-}
-
-/// Quantize-and-recover `vals` through the i16 wire representation at
-/// `scale` — exactly what one bus hop does to a signal. The host-side
-/// fallback replica chains these so its trajectory stays bit-identical
-/// to the distributed path.
-pub fn quantize_roundtrip(vals: &[f64], scale: f64) -> Vec<f64> {
-    vals.iter().map(|&v| from_sample(to_sample(v, scale), scale)).collect()
 }
 
 /// One MCU node of the distributed pipeline.
@@ -328,6 +321,14 @@ impl MultiPilSession {
         }
         if cfg.control_period_s <= 0.0 || cfg.control_period_s.is_nan() {
             return Err("control_period_s must be positive".into());
+        }
+        // the ACK lands at the nominal exchange time, so a deadline of
+        // one nominal exchange would time out every clean hop
+        if cfg.arq.timeout_factor <= 1.0 || cfg.arq.timeout_factor.is_nan() {
+            return Err(format!(
+                "arq.timeout_factor must exceed 1.0 on the bus, got {}",
+                cfg.arq.timeout_factor
+            ));
         }
         for i in 1..s {
             if specs[i].in_channels != specs[i - 1].out_channels {
@@ -1101,5 +1102,16 @@ mod tests {
             panic!("short hop_scales must be rejected");
         };
         assert!(err.contains("hop_scales"));
+    }
+
+    #[test]
+    fn config_validation_rejects_a_deadline_of_one_exchange() {
+        for arq in [ArqConfig::FIRE_AND_FORGET, ArqConfig { timeout_factor: f64::NAN, ..ArqConfig::default() }] {
+            let c = MultiPilConfig { arq, ..cfg() };
+            let Err(err) = MultiPilSession::new(three_nodes(), stages(), c, plant()) else {
+                panic!("timeout_factor {} must be rejected", arq.timeout_factor);
+            };
+            assert!(err.contains("timeout_factor must exceed 1.0"), "{err}");
+        }
     }
 }

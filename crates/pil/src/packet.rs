@@ -190,6 +190,14 @@ pub fn from_sample(s: i16, full_scale: f64) -> f64 {
     s as f64 / 32768.0 * full_scale
 }
 
+/// Quantize-and-recover `vals` through the i16 wire representation at
+/// `scale` — exactly what one frame does to a signal. The host-side
+/// fallback replicas chain these so their trajectories stay
+/// bit-identical to the wire path.
+pub fn quantize_roundtrip(vals: &[f64], scale: f64) -> Vec<f64> {
+    vals.iter().map(|&v| from_sample(to_sample(v, scale), scale)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -250,13 +250,14 @@ fn check_codegen_determinism(case: &ControllerCase) -> Result<(), String> {
 /// a fixed 2.0 leaves ≥ 62 % headroom — quantization never clips.
 pub(crate) const SENSOR_SCALE: f64 = 2.0;
 
-/// Drive `case` through a [`PilSession`] under `faults` and return the
-/// stats plus the actuation bit stream the host received each step.
+/// Drive `case` through a [`PilSession`] under `faults` and the transport
+/// policy `arq`, and return the stats plus the actuation bit stream the
+/// host received each step.
 fn run_session(
     case: &ControllerCase,
     mcu: &McuSpec,
     faults: FaultSchedule,
-    arq: Option<ArqConfig>,
+    arq: ArqConfig,
     act_scale: f64,
 ) -> Result<(peert_pil::PilStats, Vec<Vec<u64>>, u64), String> {
     let sub = case.subsystem()?;
@@ -275,7 +276,6 @@ fn run_session(
         rx_isr_cycles: 60,
         corruption_prob: 0.0,
         noise_seed: 0,
-        corrupt_steps: Vec::new(),
         faults,
         arq,
         trace_capacity: 0,
@@ -361,7 +361,7 @@ pub fn run_pil_case(case: &ControllerCase, mcu: &McuSpec) -> Result<PilCaseRepor
 
     let act_scale = case.actuation_scale();
     let (stats, received, activations) =
-        run_session(case, mcu, FaultSchedule::default(), None, act_scale)?;
+        run_session(case, mcu, FaultSchedule::default(), ArqConfig::FIRE_AND_FORGET, act_scale)?;
     if stats.crc_errors != 0 || stats.dropped_exchanges != 0 {
         return Err(format!(
             "clean line reported {} CRC errors / {} drops",
@@ -428,7 +428,8 @@ pub fn run_fault_schedule_case(
     faults: &FaultSchedule,
 ) -> Result<FaultReport, String> {
     let act_scale = case.actuation_scale();
-    let (stats, received, activations) = run_session(case, mcu, faults.clone(), None, act_scale)?;
+    let (stats, received, activations) =
+        run_session(case, mcu, faults.clone(), ArqConfig::FIRE_AND_FORGET, act_scale)?;
 
     let n_corrupt = faults.corrupt_steps.len() as u64;
     let n_drop = faults.drop_steps.len() as u64;
@@ -511,7 +512,7 @@ pub fn run_arq_recovery_case(
     }
     let act_scale = case.actuation_scale();
     let (stats, received, activations) =
-        run_session(case, mcu, faults.clone(), Some(*arq), act_scale)?;
+        run_session(case, mcu, faults.clone(), *arq, act_scale)?;
 
     let n_corrupt = faults.corrupt_steps.len() as u64;
     let n_drop_rep = faults.drop_reply_steps.len() as u64;
@@ -588,7 +589,7 @@ pub fn run_arq_degradation_case(
     let faults = FaultSchedule { drop_steps: burst, ..Default::default() };
     let act_scale = case.actuation_scale();
     let (stats, received, activations) =
-        run_session(case, mcu, faults, Some(*arq), act_scale)?;
+        run_session(case, mcu, faults, *arq, act_scale)?;
 
     if stats.steps != case.steps {
         return Err(format!("run stopped at step {} of {}", stats.steps, case.steps));

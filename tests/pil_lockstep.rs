@@ -87,9 +87,8 @@ fn pil_profiling_reports_the_comm_isr() {
         rx_isr_cycles: 60,
         corruption_prob: 0.0,
         noise_seed: 0,
-        corrupt_steps: Vec::new(),
         faults: Default::default(),
-        arq: None,
+        arq: peert_pil::ArqConfig::FIRE_AND_FORGET,
         trace_capacity: 0,
     };
     let mut session = target
