@@ -6,16 +6,17 @@
 //! incremental state machine that resynchronizes on corruption instead
 //! of wedging. This crate is the shared home for those primitives:
 //!
-//! * [`crc16`] — CRC16-CCITT (poly `0x1021`, init `0xFFFF`), the same
-//!   polynomial the PIL packet layer has used since PR 2 (`peert-pil`
-//!   re-exports this function, so `peert_pil::packet::crc16` is
-//!   unchanged);
+//! * [`crc16`] / [`crc16_update`] — CRC16-CCITT (poly `0x1021`, init
+//!   `0xFFFF`), table-driven slicing-by-8, the same polynomial the PIL
+//!   packet layer has always used (`peert-pil` re-exports [`crc16`], so
+//!   `peert_pil::packet::crc16` is unchanged);
 //! * [`Enc`] / [`Dec`] — bounds-checked little-endian byte cursors, so
 //!   every codec in the workspace reads and writes multi-byte fields
 //!   identically (floats travel as `f64::to_bits`, bit-exact);
 //! * [`Deframer`] — an incremental parser for the wire frame grammar
 //!   `SOF | VER | KIND | LEN(u32 LE) | payload | CRC16 LE`, with
-//!   bounded buffers, CRC rejection and resync-on-garbage counters.
+//!   bounded buffers, CRC rejection and resync-on-garbage counters, and
+//!   [`encode_frame`], which writes that grammar in place.
 //!
 //! Nothing here interprets payloads: the deframer yields [`RawFrame`]s
 //! and the protocol layers above (`peert-pil::packet`, `peert-wire`)
@@ -26,18 +27,64 @@
 
 /// CRC16-CCITT (poly 0x1021, init 0xFFFF).
 pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= (b as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
+    crc16_update(0xFFFF, data)
+}
+
+/// Continue a CRC16-CCITT over `data` from the register value `crc`:
+/// `crc16_update(crc16(a), b) == crc16(a ++ b)`, so a header and a
+/// payload held apart check without being copied together.
+///
+/// Slicing-by-8: eight bytes per step through eight 256-entry tables,
+/// where `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed
+/// by `k` zero bytes. The eight lookups of a step are independent, so
+/// they overlap instead of each waiting on the register update before
+/// it.
+pub fn crc16_update(mut crc: u16, data: &[u8]) -> u16 {
+    let t = &CRC_TABLES;
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let [hi, lo] = crc.to_be_bytes();
+        crc = t[7][(b[0] ^ hi) as usize]
+            ^ t[6][(b[1] ^ lo) as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc << 8) ^ t[0][((crc >> 8) as u8 ^ b) as usize];
     }
     crc
+}
+
+const CRC_TABLES: [[u16; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u16; 256]; 8] {
+    let mut t = [[0u16; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x1021 } else { crc << 1 };
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev << 8) ^ t[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 // ---------------------------------------------------------------------------
@@ -286,15 +333,29 @@ impl RawFrame {
     /// CRC computed over `VER..payload` (everything after the SOF).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(WIRE_OVERHEAD + self.payload.len());
-        out.push(WIRE_SOF);
-        out.push(self.version);
-        out.push(self.kind);
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let crc = crc16(&out[1..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        encode_frame(&mut out, self.version, self.kind, |e| e.bytes(&self.payload));
         out
     }
+}
+
+/// Append one wire frame to `out`, after whatever it already holds:
+/// the header, the payload that `payload` writes straight into `out`
+/// (no intermediate payload buffer), then the CRC over `VER..payload`.
+/// The bytes appended are exactly [`RawFrame::encode`]'s for the same
+/// version, kind and payload.
+pub fn encode_frame(out: &mut Vec<u8>, version: u8, kind: u8, payload: impl FnOnce(&mut Enc)) {
+    let start = out.len();
+    let mut e = Enc { buf: std::mem::take(out) };
+    e.u8(WIRE_SOF);
+    e.u8(version);
+    e.u8(kind);
+    e.u32(0); // LEN, patched once the payload is written
+    payload(&mut e);
+    *out = e.buf;
+    let len = (out.len() - start - 7) as u32;
+    out[start + 3..start + 7].copy_from_slice(&len.to_le_bytes());
+    let crc = crc16(&out[start + 1..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -313,7 +374,8 @@ enum DeframeState {
 /// Mirrors `peert_pil::packet::PacketParser`: a byte that can't extend
 /// the current frame aborts it and returns the parser to SOF hunting
 /// (counted in [`Deframer::resyncs`]); a completed frame whose CRC
-/// doesn't match is dropped (counted in [`Deframer::crc_errors`]); a
+/// doesn't match is dropped (counted in [`Deframer::crc_errors`]) and
+/// hunting resumes at the byte after its CRC trailer; a
 /// LEN field beyond the configured cap aborts immediately (counted in
 /// [`Deframer::oversize`]) so a corrupted length can swallow at most
 /// `max_payload` bytes of the stream. The parser never panics and never
@@ -382,6 +444,7 @@ impl Deframer {
                         return None;
                     }
                     self.payload.clear();
+                    self.payload.reserve(self.len);
                     self.state =
                         if self.len == 0 { DeframeState::CrcLo } else { DeframeState::Payload };
                 } else {
@@ -404,12 +467,9 @@ impl Deframer {
             DeframeState::CrcHi => {
                 self.state = DeframeState::Sof;
                 let got = u16::from_le_bytes([self.crc_lo, byte]);
-                let mut check = Vec::with_capacity(6 + self.payload.len());
-                check.push(self.version);
-                check.push(self.kind);
-                check.extend_from_slice(&(self.len as u32).to_le_bytes());
-                check.extend_from_slice(&self.payload);
-                if crc16(&check) != got {
+                let [l0, l1, l2, l3] = (self.len as u32).to_le_bytes();
+                let header = crc16(&[self.version, self.kind, l0, l1, l2, l3]);
+                if crc16_update(header, &self.payload) != got {
                     self.crc_errors += 1;
                     return None;
                 }
@@ -422,9 +482,27 @@ impl Deframer {
         }
     }
 
-    /// Feed a slice; collected frames in order.
-    pub fn push_slice(&mut self, bytes: &[u8]) -> Vec<RawFrame> {
-        bytes.iter().filter_map(|&b| self.push(b)).collect()
+    /// Feed a slice; collected frames in order. Equivalent to [`push`]
+    /// on every byte — same frames, same counters — except that payload
+    /// bytes are copied in one run per call instead of one at a time.
+    ///
+    /// [`push`]: Deframer::push
+    pub fn push_slice(&mut self, mut bytes: &[u8]) -> Vec<RawFrame> {
+        let mut frames = Vec::new();
+        while let Some((&byte, rest)) = bytes.split_first() {
+            if self.state == DeframeState::Payload {
+                let n = (self.len - self.payload.len()).min(bytes.len());
+                self.payload.extend_from_slice(&bytes[..n]);
+                bytes = &bytes[n..];
+                if self.payload.len() == self.len {
+                    self.state = DeframeState::CrcLo;
+                }
+                continue;
+            }
+            frames.extend(self.push(byte));
+            bytes = rest;
+        }
+        frames
     }
 
     fn abort(&mut self) {

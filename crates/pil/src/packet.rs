@@ -17,6 +17,7 @@
 /// in `peert-frame`, re-exported so this module stays the packet
 /// layer's single import point.
 pub use peert_frame::crc16;
+use peert_frame::crc16_update;
 
 /// Start-of-frame marker.
 pub const SOF: u8 = 0xA5;
@@ -145,11 +146,8 @@ impl PacketParser {
             State::CrcHi => {
                 self.state = State::Sof;
                 let got = u16::from_le_bytes([self.crc_lo, byte]);
-                let mut check = Vec::with_capacity(2 + self.payload.len());
-                check.push(self.len as u8);
-                check.push(self.seq);
-                check.extend_from_slice(&self.payload);
-                if crc16(&check) != got {
+                let header = crc16(&[self.len as u8, self.seq]);
+                if crc16_update(header, &self.payload) != got {
                     self.crc_errors += 1;
                     return None;
                 }

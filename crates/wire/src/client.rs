@@ -81,16 +81,19 @@ impl Router {
 
 /// A blocking client for one `peert-wire` connection.
 pub struct WireClient {
-    stream: TcpStream,
+    pub(crate) stream: TcpStream,
     router: Arc<Mutex<Router>>,
     reader: Option<JoinHandle<()>>,
     next_request: u64,
 }
 
 impl WireClient {
-    /// Connect and start the demultiplexing reader thread.
+    /// Connect with `TCP_NODELAY` set (a submission is one complete
+    /// frame; waiting for the server's delayed ACK only adds latency)
+    /// and start the demultiplexing reader thread.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<WireClient> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let router: Arc<Mutex<Router>> = Arc::new(Mutex::new(Router::default()));
         let read_half = stream.try_clone()?;
         let reader = {

@@ -38,7 +38,7 @@
 //! construction.
 
 use peert_fixedpoint::Q15;
-use peert_frame::{Dec, DecodeError, Enc, RawFrame};
+use peert_frame::{encode_frame, Dec, DecodeError, Enc, RawFrame};
 use peert_model::spec::{BlockSpec, DiagramSpec};
 use peert_model::Value;
 use peert_serve::{Reject, SessionOutcome};
@@ -53,6 +53,16 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// enough for a generous diagram or result chunk, small enough that a
 /// malicious LEN can't balloon a connection's memory.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
+
+/// `Chunk` payload bytes ahead of the values: session id, start step,
+/// value count.
+const CHUNK_HEADER_BYTES: usize = 20;
+/// Wire bytes per value: tag plus 64-bit pattern.
+const VALUE_BYTES: usize = 9;
+/// The most values one `Chunk` frame carries within
+/// [`MAX_FRAME_PAYLOAD`] (116 506). A session probing more ports than
+/// this could not stream even one step.
+pub(crate) const MAX_CHUNK_VALUES: usize = (MAX_FRAME_PAYLOAD - CHUNK_HEADER_BYTES) / VALUE_BYTES;
 
 /// [`Frame::Error`] code: unsupported protocol version.
 pub const ERR_VERSION: u16 = 1;
@@ -245,11 +255,20 @@ impl Frame {
 
     /// Encode to complete wire bytes (framing + CRC included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this frame's wire bytes to `out`, after whatever it
+    /// already holds: the payload is written in place, with no
+    /// intermediate buffer, so a writer can batch frames into one
+    /// reused buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_frame(out, PROTOCOL_VERSION, self.kind(), |e| match self {
             Frame::Submit { request_id, spec } => {
                 e.u64(*request_id);
-                enc_spec(&mut e, spec);
+                enc_spec(e, spec);
             }
             Frame::Cancel { session_id } => e.u64(*session_id),
             Frame::Accepted { request_id, session_id } => {
@@ -258,19 +277,19 @@ impl Frame {
             }
             Frame::Rejected { request_id, reject } => {
                 e.u64(*request_id);
-                enc_reject(&mut e, reject);
+                enc_reject(e, reject);
             }
             Frame::Chunk { session_id, start_step, values } => {
                 e.u64(*session_id);
                 e.u64(*start_step);
                 e.u32(values.len() as u32);
                 for v in values {
-                    enc_value(&mut e, *v);
+                    enc_value(e, *v);
                 }
             }
             Frame::Done { session_id, outcome, steps } => {
                 e.u64(*session_id);
-                enc_outcome(&mut e, outcome);
+                enc_outcome(e, outcome);
                 e.u64(*steps);
             }
             Frame::Error { code, message } => {
@@ -281,8 +300,7 @@ impl Frame {
                 e.u64(*session_id);
                 e.u8(u8::from(*known));
             }
-        }
-        RawFrame { version: PROTOCOL_VERSION, kind: self.kind(), payload: e.into_bytes() }.encode()
+        });
     }
 
     /// Decode a deframed payload. The caller has already checked the
@@ -321,6 +339,28 @@ impl Frame {
         d.finish()?;
         Ok(frame)
     }
+}
+
+/// The `Chunk` frames that carry `values`, `per_step` of them per step
+/// from `start_step` on, none over [`MAX_FRAME_PAYLOAD`]: one frame
+/// when they fit, otherwise pieces split at step boundaries, each
+/// advancing `start_step` by the steps before it.
+pub(crate) fn chunk_frames(
+    session_id: u64,
+    start_step: u64,
+    per_step: usize,
+    values: Vec<Value>,
+) -> Vec<Frame> {
+    if values.len() <= MAX_CHUNK_VALUES {
+        return vec![Frame::Chunk { session_id, start_step, values }];
+    }
+    let per_step = per_step.max(1);
+    let steps = (MAX_CHUNK_VALUES / per_step).max(1);
+    values
+        .chunks(steps * per_step)
+        .zip((start_step..).step_by(steps))
+        .map(|(piece, start_step)| Frame::Chunk { session_id, start_step, values: piece.to_vec() })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -230,6 +230,71 @@ fn frame_trains_survive_arbitrary_re_slicing() {
     );
 }
 
+/// `push_slice`'s bulk payload copy is invisible: a corrupted stream
+/// (garbage ahead of a frame train, bit flips anywhere, SOF and LEN
+/// included) cut into arbitrary slices yields the same frames and the
+/// same `crc_errors`/`resyncs`/`oversize` as feeding `push` one byte
+/// at a time.
+#[test]
+fn push_slice_matches_byte_at_a_time_push() {
+    check(
+        64,
+        |rng| {
+            (
+                vec_of(rng, 0..64, any::<u8>),
+                vec_of(rng, 1..6, arb_frame),
+                vec_of(rng, 0..6, |r| (any::<Index>(r), within(r, 0u8..8))),
+                vec_of(rng, 0..12, any::<Index>),
+            )
+        },
+        |(garbage, frames, flips, cuts)| {
+            let mut stream = garbage;
+            for f in &frames {
+                f.encode_into(&mut stream);
+            }
+            for (at, bit) in &flips {
+                let i = at.index(stream.len());
+                stream[i] ^= 1 << bit;
+            }
+            let mut bytewise = Deframer::new(TEST_CAP);
+            let want: Vec<RawFrame> = stream.iter().filter_map(|&b| bytewise.push(b)).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(stream.len() + 1)).collect();
+            bounds.push(0);
+            bounds.push(stream.len());
+            bounds.sort_unstable();
+            let mut sliced = Deframer::new(TEST_CAP);
+            let mut got = Vec::new();
+            for w in bounds.windows(2) {
+                got.extend(sliced.push_slice(&stream[w[0]..w[1]]));
+            }
+            prop_assert_eq!(got, want);
+            let counters = |d: &Deframer| (d.crc_errors(), d.resyncs(), d.oversize());
+            prop_assert_eq!(counters(&sliced), counters(&bytewise));
+            Ok(())
+        },
+    );
+}
+
+/// `encode_into` appends: onto a buffer that already holds bytes it
+/// leaves them alone and adds exactly `encode()`'s bytes, so LEN and
+/// the CRC are placed and computed relative to the frame, not the
+/// buffer.
+#[test]
+fn encode_into_appends_encode_after_any_prefix() {
+    check(
+        64,
+        |rng| (vec_of(rng, 0..64, any::<u8>), arb_frame(rng)),
+        |(prefix, f)| {
+            let mut out = prefix.clone();
+            f.encode_into(&mut out);
+            let mut want = prefix;
+            want.extend(f.encode());
+            prop_assert_eq!(out, want);
+            Ok(())
+        },
+    );
+}
+
 /// A single-bit flip anywhere past SOF and LEN leaves the frame
 /// boundary intact, so the corruption is caught by CRC, the frame is
 /// dropped, and the very next frame parses. (SOF and LEN flips break

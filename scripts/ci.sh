@@ -73,10 +73,17 @@ if [[ "${SERVE_SOAK:-0}" == "1" ]]; then
         run env SERVE_SOAK=1 cargo test --release -p peert-serve --test serve_soak --offline -- --nocapture
 fi
 
-# wire-protocol gate: frame-codec fuzz battery (round-trips, re-slicing,
-# bit flips, truncation, garbage — corrupted frames dropped with resync,
-# never a panic or a wedge) plus the golden-bytes layout pin (any layout
-# drift must come with a deliberate PROTOCOL_VERSION bump)
+# wire-protocol gate: the frame layer's own tests (slicing-by-8 CRC16
+# against the bitwise definition, in-place frame encoding), the
+# frame-codec fuzz battery (round-trips, re-slicing, bit flips,
+# truncation, garbage — corrupted frames dropped with resync, never a
+# panic or a wedge; bulk push_slice equal to byte-at-a-time push), the
+# server regression tests (TCP_NODELAY on both ends, closed connections
+# release their streams, oversized chunks split at step boundaries) and
+# the golden-bytes layout pin (any layout drift must come with a
+# deliberate PROTOCOL_VERSION bump)
+run cargo test --release -q -p peert-frame --offline
+run cargo test --release -q -p peert-wire --lib --offline
 run cargo test --release -q -p peert-wire --test wire_props --offline
 run cargo test --release -q -p peert-wire --test wire_golden --offline
 
