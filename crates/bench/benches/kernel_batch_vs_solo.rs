@@ -1,13 +1,13 @@
-//! Compiled-kernel backend vs the plan interpreter on the PR-1
-//! 400-block chain, plus the batched SoA engine (per-lane time across
-//! 8 instances). The recorded numbers live in BENCH_kernel.json (E16);
-//! this bench is the interactive/CI view of the same comparison.
+//! The kernel tape on the PR-1 400-block chain: one `Engine` vs the
+//! batched SoA engine (per-lane time across 8 instances). The recorded
+//! numbers live in BENCH_kernel.json (E16); this bench is the
+//! interactive/CI view of the same comparison.
 
 use peert_bench::timing::Bench;
 use peert_model::graph::Diagram;
 use peert_model::library::math::Gain;
 use peert_model::library::sources::SineWave;
-use peert_model::{Backend, BatchEngine, Engine};
+use peert_model::{BatchEngine, Engine};
 
 const LANES: usize = 8;
 
@@ -23,15 +23,9 @@ fn chain(n: usize) -> Diagram {
 }
 
 fn main() {
-    let mut interpreted = Engine::with_backend(chain(400), 1e-3, Backend::Interpreted).unwrap();
     let mut compiled = Engine::new(chain(400), 1e-3).unwrap();
-    assert_eq!(compiled.backend(), Backend::Compiled, "{:?}", compiled.fallback_reason());
     let mut batched = BatchEngine::new(&chain(400), 1e-3, LANES).unwrap();
-    Bench::new("kernel_vs_interp_400_blocks")
-        .case("interpreted", || {
-            interpreted.step().unwrap();
-            interpreted.time()
-        })
+    Bench::new("kernel_batch_vs_solo_400_blocks")
         .case("compiled", || {
             compiled.step().unwrap();
             compiled.time()

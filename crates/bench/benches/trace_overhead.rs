@@ -7,7 +7,7 @@ use peert_bench::timing::Bench;
 use peert_model::graph::Diagram;
 use peert_model::library::math::Gain;
 use peert_model::library::sources::SineWave;
-use peert_model::{Backend, Engine};
+use peert_model::Engine;
 
 fn chain_engine(n: usize) -> Engine {
     let mut d = Diagram::new();
@@ -17,10 +17,7 @@ fn chain_engine(n: usize) -> Engine {
         d.connect((prev, 0), (blk, 0)).unwrap();
         prev = blk;
     }
-    // pinned to the interpreter so the tracer-overhead baseline stays
-    // comparable across releases (kernel_vs_interp owns the compiled
-    // numbers)
-    Engine::with_backend(d, 1e-3, Backend::Interpreted).unwrap()
+    Engine::new(d, 1e-3).unwrap()
 }
 
 fn main() {

@@ -192,14 +192,14 @@ fn main() {
     write_json("BENCH_trace.json", &trace_summary(&e12));
     println!("\ntrace-overhead summary written to BENCH_trace.json");
 
-    println!("\n## E16 — compiled kernel backend vs interpreter (400-block chain)\n");
+    println!("\n## E16 — kernel tape: one engine vs batched lanes (400-block chain)\n");
     let e16 = e16_kernel(20_000);
     println!("{:<12} {:>6} {:>16} {:>10}", "engine", "lanes", "ns/step/lane", "speedup");
-    let interp_ns = e16[0].ns_per_step_per_lane;
+    let engine_ns = e16[0].ns_per_step_per_lane;
     for r in &e16 {
         println!(
             "{:<12} {:>6} {:>16.1} {:>9.2}x",
-            r.engine, r.lanes, r.ns_per_step_per_lane, interp_ns / r.ns_per_step_per_lane
+            r.engine, r.lanes, r.ns_per_step_per_lane, engine_ns / r.ns_per_step_per_lane
         );
     }
     write_json("BENCH_kernel.json", &kernel_summary(&e16));

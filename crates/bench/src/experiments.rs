@@ -794,12 +794,9 @@ json_struct! {
 /// tracer disabled (one predictable branch per step, the configuration
 /// every MIL run ships with) vs enabled (ring writes + counters).
 pub fn e12_trace_overhead(steps: u64) -> Vec<E12Row> {
-    use peert_model::{Backend, Engine};
+    use peert_model::Engine;
 
-    // pinned to the interpreter: BENCH_trace.json tracks the tracer's
-    // overhead on the same engine it was first measured on (E16 owns
-    // the compiled-backend numbers)
-    let build = || Engine::with_backend(ablation_chain(), 1e-3, Backend::Interpreted).unwrap();
+    let build = || Engine::new(ablation_chain(), 1e-3).unwrap();
     let mut plain = build();
     let mut traced = build();
     traced.enable_trace(1 << 12);
@@ -833,7 +830,7 @@ json_struct! {
     /// One engine configuration timed on the 400-block ablation chain.
     #[derive(Clone, Debug)]
     pub struct E16Row {
-        /// Engine configuration: "interpreted", "compiled" or "batched".
+        /// Engine configuration: "compiled" or "batched".
         pub engine: String,
         /// Steps timed per round (after warmup).
         pub steps: u64,
@@ -847,16 +844,15 @@ json_struct! {
 /// Lanes the E16 batched configuration steps together.
 pub const E16_LANES: usize = 8;
 
-/// E16 — the compiled kernel backend vs the interpreter on the PR-1
-/// 400-block chain, plus [`peert_model::BatchEngine`] stepping
-/// [`E16_LANES`] instances over SoA lanes. The three configurations are
+/// E16 — the kernel tape on the PR-1 400-block chain, one instance on
+/// [`peert_model::Engine`] vs [`E16_LANES`] instances over
+/// [`peert_model::BatchEngine`]'s SoA lanes. The two configurations are
 /// interleaved and the per-configuration minimum kept, as in E12.
 pub fn e16_kernel(steps: u64) -> Vec<E16Row> {
-    use peert_model::{Backend, BatchEngine, Engine};
+    use peert_model::{BatchEngine, Engine};
 
-    let mut interp = Engine::with_backend(ablation_chain(), 1e-3, Backend::Interpreted).unwrap();
     let mut comp = Engine::new(ablation_chain(), 1e-3).unwrap();
-    assert_eq!(comp.backend(), Backend::Compiled, "chain must lower: {:?}", comp.fallback_reason());
+    assert_eq!(comp.compiled_plan().trampolines(), 0, "every chain block lowers");
     let batch_d = ablation_chain();
     let mut batch = BatchEngine::new(&batch_d, 1e-3, E16_LANES).unwrap();
 
@@ -877,17 +873,14 @@ pub fn e16_kernel(steps: u64) -> Vec<E16Row> {
 
     let rounds = 10;
     let per_round = (steps / rounds).max(1);
-    engine_chunk(&mut interp, per_round); // warmup
-    engine_chunk(&mut comp, per_round);
+    engine_chunk(&mut comp, per_round); // warmup
     batch_chunk(&mut batch, per_round);
-    let (mut i_ns, mut c_ns, mut b_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut c_ns, mut b_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..rounds {
-        i_ns = i_ns.min(engine_chunk(&mut interp, per_round));
         c_ns = c_ns.min(engine_chunk(&mut comp, per_round));
         b_ns = b_ns.min(batch_chunk(&mut batch, per_round));
     }
     vec![
-        E16Row { engine: "interpreted".into(), steps, lanes: 1, ns_per_step_per_lane: i_ns },
         E16Row { engine: "compiled".into(), steps, lanes: 1, ns_per_step_per_lane: c_ns },
         E16Row { engine: "batched".into(), steps, lanes: E16_LANES, ns_per_step_per_lane: b_ns },
     ]

@@ -19,20 +19,17 @@ pub fn trace_summary(e12: &[E12Row]) -> JsonValue {
     ])
 }
 
-/// `BENCH_kernel.json`: interpreter vs compiled tape vs batched lanes (E16).
+/// `BENCH_kernel.json`: one engine vs batched lanes on the tape (E16).
 pub fn kernel_summary(e16: &[E16Row]) -> JsonValue {
-    let interp_ns = e16[0].ns_per_step_per_lane;
-    let compiled_ns = e16[1].ns_per_step_per_lane;
-    let batched_ns = e16[2].ns_per_step_per_lane;
+    let compiled_ns = e16[0].ns_per_step_per_lane;
+    let batched_ns = e16[1].ns_per_step_per_lane;
     JsonValue::object([
         ("experiment", JsonValue::str("kernel_backend_400_block_chain")),
         ("steps", e16[0].steps.to_json_value()),
-        ("interpreted_ns_per_step", interp_ns.to_json_value()),
         ("compiled_ns_per_step", compiled_ns.to_json_value()),
-        ("batched_lanes", e16[2].lanes.to_json_value()),
+        ("batched_lanes", e16[1].lanes.to_json_value()),
         ("batched_ns_per_step_per_lane", batched_ns.to_json_value()),
-        ("speedup_compiled", (interp_ns / compiled_ns).to_json_value()),
-        ("speedup_batched_per_lane", (interp_ns / batched_ns).to_json_value()),
+        ("speedup_batched_per_lane", (compiled_ns / batched_ns).to_json_value()),
     ])
 }
 

@@ -1,15 +1,18 @@
-//! CI perf smoke for the compiled kernel backend: over a cheap 2k-step
-//! run of the 400-block chain, the compiled engine must not be slower
-//! than the interpreter. Gated on `KERNEL_SMOKE=1` (wall-clock compares
-//! are meaningless under an unloaded-machine assumption, so CI opts in
-//! explicitly; the honest numbers live in BENCH_kernel.json / E16).
+//! CI perf smoke for batched lanes: over a cheap 2k-step run of the
+//! 400-block chain, one `BatchEngine` lane must not cost more per step
+//! than a single-lane `Engine`. Gated on `KERNEL_SMOKE=1` (wall-clock
+//! compares are meaningless under an unloaded-machine assumption, so CI
+//! opts in explicitly; the honest numbers live in BENCH_kernel.json /
+//! E16).
 
 use std::time::Instant;
 
 use peert_model::graph::Diagram;
 use peert_model::library::math::Gain;
 use peert_model::library::sources::SineWave;
-use peert_model::{Backend, Engine};
+use peert_model::{BatchEngine, Engine};
+
+const LANES: usize = 8;
 
 fn chain(n: usize) -> Diagram {
     let mut d = Diagram::new();
@@ -22,35 +25,37 @@ fn chain(n: usize) -> Diagram {
     d
 }
 
-fn time_steps(e: &mut Engine, n: u64) -> f64 {
+/// Wall-clock seconds for `n` steps of `step`.
+fn time_steps(n: u64, mut step: impl FnMut()) -> f64 {
     let t0 = Instant::now();
     for _ in 0..n {
-        e.step().unwrap();
+        step();
     }
     t0.elapsed().as_secs_f64()
 }
 
 #[test]
-fn compiled_is_not_slower_than_interpreted() {
+fn batched_lane_is_not_slower_than_one_engine() {
     if std::env::var("KERNEL_SMOKE").as_deref() != Ok("1") {
         eprintln!("kernel_smoke: skipped (set KERNEL_SMOKE=1 to run)");
         return;
     }
     const STEPS: u64 = 2_000;
-    let mut interp = Engine::with_backend(chain(400), 1e-3, Backend::Interpreted).unwrap();
-    let mut comp = Engine::new(chain(400), 1e-3).unwrap();
-    assert_eq!(comp.backend(), Backend::Compiled, "{:?}", comp.fallback_reason());
+    let mut solo = Engine::new(chain(400), 1e-3).unwrap();
+    let mut batch = BatchEngine::new(&chain(400), 1e-3, LANES).unwrap();
+    let mut solo_step = || solo.step().unwrap();
+    let mut batch_step = || batch.step();
     // warmup, then interleaved rounds keeping the per-engine minimum so
     // transient load hits both configurations equally
-    time_steps(&mut interp, STEPS / 4);
-    time_steps(&mut comp, STEPS / 4);
-    let (mut i_best, mut c_best) = (f64::INFINITY, f64::INFINITY);
+    time_steps(STEPS / 4, &mut solo_step);
+    time_steps(STEPS / 4, &mut batch_step);
+    let (mut solo_best, mut lane_best) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..4 {
-        i_best = i_best.min(time_steps(&mut interp, STEPS));
-        c_best = c_best.min(time_steps(&mut comp, STEPS));
+        solo_best = solo_best.min(time_steps(STEPS, &mut solo_step));
+        lane_best = lane_best.min(time_steps(STEPS, &mut batch_step) / LANES as f64);
     }
     assert!(
-        c_best <= i_best,
-        "compiled backend slower than the interpreter: {c_best:.6}s vs {i_best:.6}s over {STEPS} steps"
+        lane_best <= solo_best,
+        "a batched lane is slower than one engine: {lane_best:.6}s vs {solo_best:.6}s over {STEPS} steps"
     );
 }

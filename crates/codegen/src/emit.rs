@@ -448,7 +448,7 @@ mod tests {
         let g = d.add("kp", Gain::new(0.5)).unwrap();
         let z = d.add("z1", UnitDelay::new(1e-3)).unwrap();
         let s = d.add("sum2", Sum::new("++").unwrap()).unwrap();
-        let sat = d.add("limit", Saturation::new(0.0, 1.0)).unwrap();
+        let sat = d.add("limit", Saturation::new(0.0, 1.0).unwrap()).unwrap();
         let out = d.add("duty", Outport).unwrap();
         let scope = d.add("scope", Scope::new()).unwrap();
         d.connect((r, 0), (e, 0)).unwrap();

@@ -22,7 +22,7 @@ fn chain(segments: &[(u8, f64)]) -> Subsystem {
         let id = match kind % 4 {
             0 => d.add(format!("g{k}"), Gain::new(v)).unwrap(),
             1 => d.add(format!("z{k}"), UnitDelay::new(1e-3)).unwrap(),
-            2 => d.add(format!("s{k}"), Saturation::new(-v.abs() - 0.1, v.abs() + 0.1)).unwrap(),
+            2 => d.add(format!("s{k}"), Saturation::new(-v.abs() - 0.1, v.abs() + 0.1).unwrap()).unwrap(),
             _ => {
                 let sum = d.add(format!("a{k}"), Sum::new("+").unwrap()).unwrap();
                 sum

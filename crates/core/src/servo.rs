@@ -246,6 +246,25 @@ impl ServoModel {
 
 /// Build the Fig 7.1 closed-loop single model.
 pub fn build_servo_model(opts: &ServoOptions) -> Result<ServoModel, String> {
+    let (d, controller, speed_log, duty_log) = assemble_servo(opts)?;
+    let engine = Engine::new(d, servo_dt(opts)).map_err(|e| e.to_string())?;
+    Ok(ServoModel { engine, controller, speed_log, duty_log })
+}
+
+/// The Fig 7.1 closed-loop single model as a bare diagram, with the
+/// fundamental step [`build_servo_model`] simulates it at — for
+/// harnesses that step it on something other than [`Engine`].
+pub fn servo_diagram(opts: &ServoOptions) -> Result<(Diagram, f64), String> {
+    Ok((assemble_servo(opts)?.0, servo_dt(opts)))
+}
+
+/// The MIL fundamental step: a tenth of the control period.
+fn servo_dt(opts: &ServoOptions) -> f64 {
+    opts.control_period_s / 10.0
+}
+
+/// The closed-loop diagram, its controller id and the two scope logs.
+fn assemble_servo(opts: &ServoOptions) -> Result<(Diagram, BlockId, SharedLog, SharedLog), String> {
     let mut d = Diagram::new();
     let sp = d
         .add("setpoint_src", ProfileSource { profile: opts.setpoint.clone() })
@@ -284,10 +303,7 @@ pub fn build_servo_model(opts: &ServoOptions) -> Result<ServoModel, String> {
     d.connect((load, 0), (motor, 1)).map_err(|e| e.to_string())?;
     d.connect((motor, 0), (s1, 0)).map_err(|e| e.to_string())?;
     d.connect((controller, 0), (s2, 0)).map_err(|e| e.to_string())?;
-
-    let dt = opts.control_period_s / 10.0;
-    let engine = Engine::new(d, dt).map_err(|e| e.to_string())?;
-    Ok(ServoModel { engine, controller, speed_log, duty_log })
+    Ok((d, controller, speed_log, duty_log))
 }
 
 /// The PE project mirroring the servo model's PE blocks (what PES_COM sync

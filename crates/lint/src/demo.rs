@@ -34,7 +34,7 @@ pub fn demo_model(defect: bool) -> Diagram {
     let fb = d.add("feedback", SineWave::new(0.2, 5.0)).unwrap();
     let err = d.add("err", Sum::new("+-").unwrap()).unwrap();
     let boost = d.add("boost", Gain::new(1.2)).unwrap();
-    let sat = d.add("sat", Saturation::new(-0.9, 0.9)).unwrap();
+    let sat = d.add("sat", Saturation::new(-0.9, 0.9).unwrap()).unwrap();
     let duty = d.add("duty", Scope::new()).unwrap();
     d.connect((sp, 0), (err, 0)).unwrap();
     d.connect((fb, 0), (err, 1)).unwrap();

@@ -530,7 +530,7 @@ mod tests {
         let s = d.add("s", SineWave::new(2.0, 10.0)).unwrap();
         let g = d.add("g", Gain::new(3.0)).unwrap();
         let sum = d.add("sum", Sum::new("+-").unwrap()).unwrap();
-        let sat = d.add("sat", Saturation::new(-1.0, 1.0)).unwrap();
+        let sat = d.add("sat", Saturation::new(-1.0, 1.0).unwrap()).unwrap();
         d.connect((s, 0), (g, 0)).unwrap();
         d.connect((c, 0), (sum, 0)).unwrap();
         d.connect((g, 0), (sum, 1)).unwrap();

@@ -1308,7 +1308,7 @@ mod tests {
         let mut d = Diagram::new();
         let c = d.add("c", Constant::new(5.0)).unwrap();
         let g = d.add("g", Gain::new(0.9)).unwrap();
-        let sat = d.add("sat", Saturation::new(-1.0, 1.0)).unwrap();
+        let sat = d.add("sat", Saturation::new(-1.0, 1.0).unwrap()).unwrap();
         let o = d.add("out", Outport).unwrap();
         d.connect((c, 0), (g, 0)).unwrap();
         d.connect((g, 0), (sat, 0)).unwrap();

@@ -40,7 +40,7 @@ fn gen_diagram(seed: u64) -> Diagram {
             4 => (d.add(format!("a{i}"), Abs).unwrap(), 1),
             5 => {
                 let hi = within(&mut r, 0.3..0.9);
-                (d.add(format!("sat{i}"), Saturation::new(-hi, hi)).unwrap(), 1)
+                (d.add(format!("sat{i}"), Saturation::new(-hi, hi).unwrap()).unwrap(), 1)
             }
             6 => (d.add(format!("dz{i}"), DeadZone { width: 0.05 }).unwrap(), 1),
             7 => (d.add(format!("ud{i}"), UnitDelay::new(DT)).unwrap(), 1),

@@ -176,12 +176,12 @@ pub trait Block: Send {
     /// Reset all internal state to initial conditions.
     fn reset(&mut self) {}
 
-    /// Lower this block to a compiled kernel for the fused-tape backend
+    /// Lower this block to a compiled kernel for the tape
     /// ([`crate::kernel`]). `None` (the default) means "not lowerable":
-    /// any diagram containing such a block runs on the interpreter
-    /// instead. Lowering is a crate-internal optimization of the
-    /// built-in library — external blocks keep the default and lose
-    /// nothing but speed.
+    /// the block gets a trampoline entry that calls this instance's
+    /// `output`/`update`. Lowering is a crate-internal optimization of
+    /// the built-in library — external blocks keep the default and lose
+    /// nothing but speed (and [`crate::BatchEngine`] lanes).
     fn lower(&self) -> Option<crate::kernel::KernelSpec> {
         None
     }

@@ -8,18 +8,25 @@
 //! — the closed-loop single model of plant and controller runs here before
 //! any code is generated.
 //!
-//! [`Engine::new`] compiles the diagram into an [`ExecutionPlan`] once;
-//! after warm-up the step loop performs no heap allocation: inputs are
-//! gathered through the plan's dense resolution table into a reusable
-//! scratch buffer, outputs land in a flat value arena, and discrete sample
-//! hits are integer comparisons against precomputed rate buckets.
+//! [`Engine::new`] compiles the diagram into a kernel tape
+//! ([`crate::kernel::CompiledPlan`]) once and steps nothing else. Library
+//! blocks run as fused kernels; a block without a lowering (a custom
+//! block, a subsystem, a sink, anything with event ports or more than one
+//! output) gets a *trampoline* entry that calls this engine's own block
+//! instance. After warm-up the step loop performs no heap allocation: a
+//! trampoline gathers its inputs into one reused buffer, outputs land in
+//! the tape's flat value arena, and discrete sample hits are integer
+//! comparisons against precomputed rate buckets.
 
-use crate::block::BlockCtx;
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use crate::block::{Block, BlockCtx};
 use crate::graph::{BlockId, Diagram, GraphError, Source};
-use crate::plan::{ExecutionPlan, Sched, NO_EVENT_TARGET, UNCONNECTED};
+use crate::kernel::{CompiledPlan, KInstr, KernelRuntime, PlanCache};
+use crate::plan::{ExecutionPlan, NO_EVENT_TARGET};
 use crate::signal::Value;
 use peert_trace::{ClockDomain, EventId, Tracer};
-use std::collections::VecDeque;
 
 /// Simulation errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,10 +39,9 @@ pub enum SimError {
         /// The step's time.
         t: f64,
     },
-    /// A compiled-backend-only construction (e.g.
-    /// [`Engine::compiled_pruned`] or [`crate::kernel::BatchEngine`])
-    /// hit a diagram that cannot be lowered. [`Engine::new`] never
-    /// returns this — it falls back to the interpreter instead.
+    /// [`crate::kernel::BatchEngine`] refused a diagram whose tape needs
+    /// a trampoline entry: lanes share one tape and have no block
+    /// instances of their own. [`Engine`] never returns this.
     Kernel(crate::kernel::KernelError),
 }
 
@@ -61,24 +67,17 @@ impl From<GraphError> for SimError {
 const EVENT_CAP: usize = 10_000;
 
 /// Which step backend an [`Engine`] runs on.
+///
+/// There is one: every engine steps its kernel tape. The enum stays
+/// because the repository benchmark records [`Engine::backend`] in its
+/// output (`"servo": "Compiled"`), and that record's format is fixed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// The plan interpreter: per step, walk `plan.order`, gather inputs
-    /// through the resolution table, dispatch `Block::output`/`update`.
-    Interpreted,
     /// The fused-kernel tape ([`crate::kernel`]): monomorphized kernels
-    /// over a flat arena, no per-step dispatch or input walk. Bit-exact
-    /// with the interpreter (the `peert-verify` "kernel" phase is the
-    /// proof); selected by default when every block lowers.
+    /// over a flat arena, with trampoline entries for blocks that do not
+    /// lower. Bit-exact with `peert-verify`'s reference interpreter (the
+    /// verify "mil" and "kernel" phases are the proof).
     Compiled,
-}
-
-/// Live state of the compiled backend: the shared tape plus this
-/// engine's single-lane runtime (values arena + state/param pools).
-struct CompiledState {
-    plan: std::sync::Arc<crate::kernel::CompiledPlan>,
-    rt: crate::kernel::KernelRuntime,
-    cache_hit: bool,
 }
 
 /// Error from [`Engine::try_probe`]: the probed source does not exist.
@@ -132,145 +131,201 @@ struct EngineTraceIds {
     trig: EventId,
 }
 
-/// The fixed-step engine.
-pub struct Engine {
-    diagram: Diagram,
-    plan: ExecutionPlan,
-    dt: f64,
-    t: f64,
-    step_index: u64,
-    /// Flat output-value arena, indexed by the plan's `out_base` offsets.
-    values: Vec<Value>,
-    /// Per-bucket due flag, refreshed once per major step.
-    bucket_due: Vec<bool>,
-    /// Reusable input buffer for the currently executing block.
-    scratch_in: Vec<Value>,
-    /// Reusable event-port buffer for the currently executing block.
-    scratch_events: Vec<usize>,
+/// The engine's side of trampoline entries and function-call events:
+/// reusable buffers, the dispatch queue and the eval counters. Kept
+/// apart from the tape, the runtime and the block instances so a sweep
+/// can borrow all four at once.
+struct Dispatch {
+    /// Reusable input buffer for the trampoline entry being run.
+    inputs: Vec<Value>,
+    /// Event ports the last trampoline output phase asserted.
+    events: Vec<usize>,
     /// Persistent function-call dispatch queue.
-    event_queue: VecDeque<u32>,
+    queue: VecDeque<u32>,
     triggered_execs: u64,
     /// Total block phase executions (output + update + triggered).
     block_evals: u64,
+}
+
+impl Dispatch {
+    /// Run one phase of trampoline entry `i` on the engine's own block
+    /// instance: inputs gathered from the arena through the operand pool
+    /// (unconnected ports read the zero slot), outputs written straight
+    /// into the block's `out_base` slots. Events asserted in the output
+    /// phase are left in `events` for [`Dispatch::enqueue_emitted`];
+    /// update-phase events are dropped (function calls fire at output
+    /// time, as in Simulink).
+    #[allow(clippy::too_many_arguments)]
+    fn call(
+        &mut self,
+        plan: &CompiledPlan,
+        rt: &mut KernelRuntime,
+        blocks: &mut [Box<dyn Block>],
+        i: &KInstr,
+        t: f64,
+        dt: f64,
+        output_phase: bool,
+    ) {
+        let ob = i.obase as usize;
+        self.inputs.clear();
+        for &slot in &plan.opool[ob..ob + i.n_ops as usize] {
+            self.inputs.push(rt.values[slot as usize]);
+        }
+        let b = i.block as usize;
+        let base = plan.exec.out_base[b] as usize;
+        let outputs = &mut rt.values[base..base + plan.exec.out_count[b] as usize];
+        self.events.clear();
+        let mut ctx = BlockCtx::new(t, dt, &self.inputs, outputs, &mut self.events);
+        if output_phase {
+            blocks[b].output(&mut ctx);
+        } else {
+            blocks[b].update(&mut ctx);
+            self.events.clear();
+        }
+    }
+
+    /// Run one phase of any tape entry, kernel or trampoline.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        plan: &CompiledPlan,
+        rt: &mut KernelRuntime,
+        blocks: &mut [Box<dyn Block>],
+        i: &KInstr,
+        t: f64,
+        dt: f64,
+        output_phase: bool,
+    ) {
+        if i.tramp {
+            self.call(plan, rt, blocks, i, t, dt, output_phase);
+        } else if output_phase {
+            crate::kernel::run_instr(i, i.out, plan, rt, t, dt);
+        } else if let Some(u) = i.upd {
+            crate::kernel::run_instr(i, u, plan, rt, t, dt);
+        }
+    }
+
+    /// Enqueue the targets of the events block `b` just asserted.
+    fn enqueue_emitted(&mut self, plan: &CompiledPlan, b: usize) {
+        let ev_base = plan.exec.ev_base[b] as usize;
+        for &port in &self.events {
+            debug_assert!(
+                port < plan.exec.ev_count[b] as usize,
+                "block #{b} emitted on event port {port} but declares only {} event port(s)",
+                plan.exec.ev_count[b]
+            );
+            let target = plan.exec.ev_target[ev_base + port];
+            if target != NO_EVENT_TARGET {
+                self.queue.push_back(target);
+            }
+        }
+        self.events.clear();
+    }
+
+    /// Dispatch queued function calls in FIFO order: each runs its
+    /// target's output (enqueueing what that emits), then its update.
+    fn drain(
+        &mut self,
+        plan: &CompiledPlan,
+        rt: &mut KernelRuntime,
+        blocks: &mut [Box<dyn Block>],
+        t: f64,
+        dt: f64,
+    ) -> Result<(), SimError> {
+        let mut dispatched = 0usize;
+        while let Some(target) = self.queue.pop_front() {
+            dispatched += 1;
+            if dispatched > EVENT_CAP {
+                self.queue.clear();
+                return Err(SimError::EventStorm { t });
+            }
+            self.triggered_execs += 1;
+            self.block_evals += 2;
+            let ii = plan.block_instr[target as usize];
+            if ii == u32::MAX {
+                continue; // pruned off the tape
+            }
+            let i = &plan.tape[ii as usize];
+            self.run(plan, rt, blocks, i, t, dt, true);
+            self.enqueue_emitted(plan, target as usize);
+            self.run(plan, rt, blocks, i, t, dt, false);
+        }
+        Ok(())
+    }
+}
+
+/// The fixed-step engine.
+pub struct Engine {
+    diagram: Diagram,
+    /// The compiled tape, shared through the plan cache.
+    tape: Arc<CompiledPlan>,
+    /// This engine's single-lane values arena and state/param pools.
+    rt: KernelRuntime,
+    cache_hit: bool,
+    dt: f64,
+    t: f64,
+    step_index: u64,
+    /// Per-bucket due flag, refreshed once per major step.
+    bucket_due: Vec<bool>,
+    dispatch: Dispatch,
     tracer: Tracer,
     trace_ids: Option<EngineTraceIds>,
-    /// Present iff stepping on the compiled backend.
-    compiled: Option<CompiledState>,
-    /// Why the compiled backend was not (or is no longer) in use.
-    fallback_reason: Option<String>,
 }
 
 impl Engine {
     /// Build an engine over `diagram` with fundamental step `dt` seconds.
     ///
-    /// Tries the compiled kernel backend first (tapes are shared through
-    /// the process-wide [`crate::kernel::PlanCache`], keyed by
-    /// [`Diagram::fingerprint`]); if any block does not lower, the engine
-    /// falls back to the plan interpreter automatically and
-    /// [`Engine::fallback_reason`] says why. Both backends cache the
-    /// blocks' `ports()` and `sample()` metadata at build time, so
-    /// structural edits through [`Engine::diagram_mut`] (rewiring, port
-    /// or rate changes) require a new engine.
+    /// Compiles through the process-wide [`crate::kernel::PlanCache`],
+    /// keyed by [`Diagram::fingerprint`] plus the lowered specs. The tape
+    /// caches the blocks' `ports()` and `sample()` metadata and every
+    /// lowered block's parameters, so a structural or parameter change
+    /// needs a new engine.
     pub fn new(diagram: Diagram, dt: f64) -> Result<Self, SimError> {
-        Self::with_backend(diagram, dt, Backend::Compiled)
-    }
-
-    /// [`Engine::new`] with an explicit backend choice.
-    /// `Backend::Interpreted` never compiles a tape; `Backend::Compiled`
-    /// compiles through the global plan cache, falling back to the
-    /// interpreter when the diagram cannot be lowered.
-    pub fn with_backend(diagram: Diagram, dt: f64, backend: Backend) -> Result<Self, SimError> {
-        assert!(dt > 0.0, "fundamental step must be positive");
-        let order = diagram.sorted_order()?;
-        let mut e = Self::build_interpreted(diagram, dt, &order);
-        if backend == Backend::Compiled {
-            let outcome = {
-                let mut cache = crate::lock(crate::kernel::global_cache());
-                cache.get_or_compile(&e.diagram, &order, dt, true)
-            };
-            e.attach_compiled(outcome);
-        }
-        Ok(e)
+        Self::with_cache(diagram, dt, &mut crate::lock(crate::kernel::global_cache()))
     }
 
     /// [`Engine::new`] compiling through a caller-owned
     /// [`crate::kernel::PlanCache`] instead of the process-wide one —
     /// differential harnesses use this to assert exact hit/miss counts.
-    /// Fallback semantics match [`Engine::new`].
-    pub fn with_cache(
-        diagram: Diagram,
-        dt: f64,
-        cache: &mut crate::kernel::PlanCache,
-    ) -> Result<Self, SimError> {
+    pub fn with_cache(diagram: Diagram, dt: f64, cache: &mut PlanCache) -> Result<Self, SimError> {
         assert!(dt > 0.0, "fundamental step must be positive");
         let order = diagram.sorted_order()?;
-        let mut e = Self::build_interpreted(diagram, dt, &order);
-        let outcome = cache.get_or_compile(&e.diagram, &order, dt, true);
-        e.attach_compiled(outcome);
-        Ok(e)
+        let (tape, cache_hit) = cache.get_or_compile(&diagram, &order, dt, true);
+        Ok(Self::from_tape(diagram, dt, tape, cache_hit))
     }
 
-    /// Build a compiled-only engine whose tape omits the blocks listed in
-    /// `dead` (indices into the diagram) — the hook `peert-lint`'s
-    /// dead-block removal proof drives. Bypasses the plan cache (pruned
-    /// tapes are diagram-specific) and errors instead of falling back:
-    /// a prune request on an un-lowerable diagram is a caller bug.
+    /// Build an engine whose tape omits the blocks listed in `dead`
+    /// (indices into the diagram) — the hook `peert-lint`'s dead-block
+    /// removal proof drives. Bypasses the plan cache (pruned tapes are
+    /// diagram-specific).
     pub fn compiled_pruned(diagram: Diagram, dt: f64, dead: &[usize]) -> Result<Self, SimError> {
         assert!(dt > 0.0, "fundamental step must be positive");
         let order = diagram.sorted_order()?;
-        let plan = crate::kernel::compile(&diagram, &order, dt, dead, true)
-            .map_err(SimError::Kernel)?;
-        let mut e = Self::build_interpreted(diagram, dt, &order);
-        e.attach_compiled(Ok((std::sync::Arc::new(plan), false)));
-        Ok(e)
+        let tape = crate::kernel::compile(&diagram, &order, dt, dead, true);
+        Ok(Self::from_tape(diagram, dt, Arc::new(tape), false))
     }
 
-    fn build_interpreted(diagram: Diagram, dt: f64, order: &[BlockId]) -> Self {
-        let plan = ExecutionPlan::compile(&diagram, dt, order);
-        let values = vec![Value::default(); plan.arena_len];
-        let bucket_due = vec![false; plan.buckets.len()];
-        let scratch_in = Vec::with_capacity(plan.max_inputs);
-        let scratch_events = Vec::with_capacity(plan.max_events);
-        let event_queue = VecDeque::with_capacity(16);
+    fn from_tape(diagram: Diagram, dt: f64, tape: Arc<CompiledPlan>, cache_hit: bool) -> Self {
+        let rt = KernelRuntime::new(&tape, 1);
+        let dispatch = Dispatch {
+            inputs: Vec::with_capacity(tape.exec.max_inputs),
+            events: Vec::with_capacity(tape.exec.max_events),
+            queue: VecDeque::with_capacity(16),
+            triggered_execs: 0,
+            block_evals: 0,
+        };
         Engine {
             diagram,
-            plan,
+            bucket_due: vec![false; tape.exec.buckets.len()],
+            tape,
+            rt,
+            cache_hit,
             dt,
             t: 0.0,
             step_index: 0,
-            values,
-            bucket_due,
-            scratch_in,
-            scratch_events,
-            event_queue,
-            triggered_execs: 0,
-            block_evals: 0,
+            dispatch,
             tracer: Tracer::disabled(),
             trace_ids: None,
-            compiled: None,
-            fallback_reason: None,
-        }
-    }
-
-    /// Install a compile outcome: a tape (with its single-lane runtime)
-    /// on success, a recorded fallback reason on failure.
-    fn attach_compiled(
-        &mut self,
-        outcome: Result<
-            (std::sync::Arc<crate::kernel::CompiledPlan>, bool),
-            crate::kernel::KernelError,
-        >,
-    ) {
-        match outcome {
-            Ok((plan, cache_hit)) => {
-                let rt = crate::kernel::KernelRuntime::new(&plan, 1);
-                self.compiled = Some(CompiledState { plan, rt, cache_hit });
-                self.fallback_reason = None;
-            }
-            Err(err) => {
-                self.compiled = None;
-                self.fallback_reason = Some(err.to_string());
-            }
         }
     }
 
@@ -287,7 +342,8 @@ impl Engine {
             output: self.tracer.register("engine.output_phase"),
             update: self.tracer.register("engine.update_phase"),
             buckets: self
-                .plan
+                .tape
+                .exec
                 .buckets
                 .iter()
                 .map(|b| {
@@ -298,15 +354,12 @@ impl Engine {
             evals: self.tracer.register("engine.block_evals"),
             trig: self.tracer.register("engine.triggered_execs"),
         });
-        // Construction-time facts, exported once: which backend this
-        // engine stepped up with and whether its tape came from the cache.
-        let backend = self.tracer.register("engine.backend");
-        self.tracer.set(backend, matches!(self.backend(), Backend::Compiled) as u64);
+        // Construction-time fact, exported once: whether this engine's
+        // tape came from the cache.
         let hit = self.tracer.register("plancache.hit");
         let miss = self.tracer.register("plancache.miss");
-        let was_hit = self.compiled.as_ref().is_some_and(|c| c.cache_hit);
-        self.tracer.set(hit, was_hit as u64);
-        self.tracer.set(miss, (self.compiled.is_some() && !was_hit) as u64);
+        self.tracer.set(hit, self.cache_hit as u64);
+        self.tracer.set(miss, !self.cache_hit as u64);
     }
 
     /// The engine's tracer (disabled unless [`Engine::enable_trace`] was
@@ -318,7 +371,7 @@ impl Engine {
     /// Total block phase executions (output + update + triggered) since
     /// construction or [`Engine::reset`].
     pub fn block_evals(&self) -> u64 {
-        self.block_evals
+        self.dispatch.block_evals
     }
 
     /// Current simulation time.
@@ -338,61 +391,34 @@ impl Engine {
 
     /// Total triggered-subsystem executions dispatched.
     pub fn triggered_execs(&self) -> u64 {
-        self.triggered_execs
+        self.dispatch.triggered_execs
     }
 
-    /// The compiled execution plan.
+    /// The tape's execution plan: arena layout, input resolution and
+    /// rate buckets.
     pub fn plan(&self) -> &ExecutionPlan {
-        &self.plan
+        &self.tape.exec
     }
 
-    /// Which backend steps this engine.
+    /// Which backend steps this engine (always [`Backend::Compiled`]).
     pub fn backend(&self) -> Backend {
-        if self.compiled.is_some() {
-            Backend::Compiled
-        } else {
-            Backend::Interpreted
-        }
+        Backend::Compiled
     }
 
-    /// Why the engine is on the interpreter despite the compiled backend
-    /// being requested (`None` when compiled, or when the interpreter was
-    /// asked for explicitly).
-    pub fn fallback_reason(&self) -> Option<&str> {
-        self.fallback_reason.as_deref()
-    }
-
-    /// Whether this engine's compiled tape came out of the plan cache
-    /// (false on the interpreter or on a cold compile).
+    /// Whether this engine's tape came out of the plan cache (false on a
+    /// cold compile or a pruned tape).
     pub fn plan_cache_hit(&self) -> bool {
-        self.compiled.as_ref().is_some_and(|c| c.cache_hit)
+        self.cache_hit
     }
 
-    /// The compiled tape, when on the compiled backend.
-    pub fn compiled_plan(&self) -> Option<&crate::kernel::CompiledPlan> {
-        self.compiled.as_ref().map(|c| &*c.plan)
+    /// The compiled tape.
+    pub fn compiled_plan(&self) -> &CompiledPlan {
+        &self.tape
     }
 
     /// The diagram (to inspect blocks, e.g. read a Scope).
     pub fn diagram(&self) -> &Diagram {
         &self.diagram
-    }
-
-    /// Mutable diagram access between runs (parameter tweaks; see
-    /// [`Engine::new`] for what requires recompiling).
-    ///
-    /// On the compiled backend the blocks are bystanders — parameters and
-    /// state live in the tape's pools — so mutating them mid-run could
-    /// not take effect. Calling this on a compiled engine therefore
-    /// demotes it to the interpreter **and resets it to t = 0** (block
-    /// state was never advanced while compiled, so resuming mid-run
-    /// would be wrong); [`Engine::fallback_reason`] records the demotion.
-    pub fn diagram_mut(&mut self) -> &mut Diagram {
-        if self.compiled.take().is_some() {
-            self.fallback_reason = Some("diagram_mut: demoted to interpreter".into());
-            self.reset();
-        }
-        &mut self.diagram
     }
 
     /// Read the last value of output `src`.
@@ -411,10 +437,11 @@ impl Engine {
     pub fn try_probe(&self, src: Source) -> Result<Value, ProbeError> {
         let (id, port) = src;
         let b = id.index();
-        if b >= self.plan.out_count.len() {
-            return Err(ProbeError::BlockOutOfRange { block: b, len: self.plan.out_count.len() });
+        let exec = &self.tape.exec;
+        if b >= exec.out_count.len() {
+            return Err(ProbeError::BlockOutOfRange { block: b, len: exec.out_count.len() });
         }
-        let outputs = self.plan.out_count[b] as usize;
+        let outputs = exec.out_count[b] as usize;
         if port >= outputs {
             return Err(ProbeError::PortOutOfRange {
                 block: self.diagram.names[b].clone(),
@@ -422,114 +449,59 @@ impl Engine {
                 port,
             });
         }
-        // Same arena layout on both backends (the tape reuses the plan's
-        // out_base slots; lanes = 1 makes slot index == value index).
-        let arena: &[Value] = match &self.compiled {
-            Some(cs) => cs.rt.values(),
-            None => &self.values,
-        };
-        Ok(arena[self.plan.out_base[b] as usize + port])
+        // lanes = 1, so an arena slot index is a value index
+        Ok(self.rt.values[exec.out_base[b] as usize + port])
     }
 
     /// Inject an external function-call event into a triggered block —
     /// used by co-simulation harnesses that map hardware interrupts onto
-    /// model events.
+    /// model events. Runs the target's output, then its update, at the
+    /// current time; events the target emits cascade as in a step.
     pub fn fire(&mut self, target: BlockId) -> Result<(), SimError> {
-        if let Some(cs) = self.compiled.as_mut() {
-            // Compiled tapes carry no event ports (diagrams with them fall
-            // back to the interpreter), so a fire cannot cascade: run the
-            // target's output + update kernels and count like a dispatch.
-            self.triggered_execs += 1;
-            self.block_evals += 2;
-            crate::kernel::run_block(&cs.plan, &mut cs.rt, target.index(), self.t, self.dt);
-            return Ok(());
-        }
-        self.event_queue.push_back(target.index() as u32);
-        self.drain_events()
+        self.dispatch.queue.push_back(target.index() as u32);
+        self.dispatch.drain(&self.tape, &mut self.rt, &mut self.diagram.blocks, self.t, self.dt)
     }
 
-    #[inline]
-    fn due(&self, idx: usize) -> bool {
-        match self.plan.sched[idx] {
-            Sched::EveryStep => true,
-            Sched::Bucket(b) => self.bucket_due[b as usize],
-            Sched::Never => false,
-        }
-    }
-
-    /// Run one block phase. Inputs are gathered into `scratch_in` via the
-    /// plan's resolution table; asserted event ports (output phase only)
-    /// are left in `scratch_events` for the caller to consume.
-    fn exec_phase(&mut self, idx: usize, output_phase: bool) {
-        let in_base = self.plan.in_base[idx] as usize;
-        let in_count = self.plan.in_count[idx] as usize;
-        self.scratch_in.clear();
-        for &slot in &self.plan.in_src[in_base..in_base + in_count] {
-            self.scratch_in.push(if slot == UNCONNECTED {
-                Value::default()
-            } else {
-                self.values[slot as usize]
-            });
-        }
-        let out_base = self.plan.out_base[idx] as usize;
-        let out_count = self.plan.out_count[idx] as usize;
-        let outputs = &mut self.values[out_base..out_base + out_count];
-        self.scratch_events.clear();
-        let mut ctx =
-            BlockCtx::new(self.t, self.dt, &self.scratch_in, outputs, &mut self.scratch_events);
-        if output_phase {
-            self.diagram.blocks[idx].output(&mut ctx);
-        } else {
-            self.diagram.blocks[idx].update(&mut ctx);
-            // update-phase events are not dispatched (same as output-order
-            // semantics in Simulink: function calls fire at output time)
-            self.scratch_events.clear();
-        }
-    }
-
-    /// Enqueue the targets of the events `exec_phase` just left in
-    /// `scratch_events` (must be consumed before the next `exec_phase`).
-    fn enqueue_emitted(&mut self, idx: usize) {
-        let ev_base = self.plan.ev_base[idx] as usize;
-        for k in 0..self.scratch_events.len() {
-            let port = self.scratch_events[k];
-            debug_assert!(
-                port < self.plan.ev_count[idx] as usize,
-                "block '{}' emitted on event port {port} but declares only {} event port(s)",
-                self.diagram.names[idx],
-                self.plan.ev_count[idx]
+    /// One phase sweep over the tape. A tape without trampoline entries
+    /// takes the kernel-only sweep, which never looks at the flag.
+    fn sweep(&mut self, output_phase: bool) -> Result<u64, SimError> {
+        let plan: &CompiledPlan = &self.tape;
+        let (t, dt) = (self.t, self.dt);
+        if plan.trampolines == 0 {
+            return crate::kernel::sweep::<false, _>(
+                plan,
+                &mut self.rt,
+                t,
+                dt,
+                &self.bucket_due,
+                output_phase,
+                |_, _| Ok(()),
             );
-            let target = self.plan.ev_target[ev_base + port];
-            if target != NO_EVENT_TARGET {
-                self.event_queue.push_back(target);
-            }
         }
-        self.scratch_events.clear();
+        let (blocks, d) = (&mut self.diagram.blocks, &mut self.dispatch);
+        crate::kernel::sweep::<true, _>(
+            plan,
+            &mut self.rt,
+            t,
+            dt,
+            &self.bucket_due,
+            output_phase,
+            |i, rt| {
+                d.call(plan, rt, blocks, i, t, dt, output_phase);
+                if !d.events.is_empty() {
+                    // dispatch right after the emitting entry, before the
+                    // next one runs
+                    d.enqueue_emitted(plan, i.block as usize);
+                    d.drain(plan, rt, blocks, t, dt)?;
+                }
+                Ok(())
+            },
+        )
     }
 
-    fn drain_events(&mut self) -> Result<(), SimError> {
-        let mut dispatched = 0usize;
-        while let Some(target) = self.event_queue.pop_front() {
-            dispatched += 1;
-            if dispatched > EVENT_CAP {
-                self.event_queue.clear();
-                return Err(SimError::EventStorm { t: self.t });
-            }
-            self.triggered_execs += 1;
-            self.block_evals += 2;
-            let idx = target as usize;
-            self.exec_phase(idx, true);
-            self.enqueue_emitted(idx);
-            self.exec_phase(idx, false);
-        }
-        Ok(())
-    }
-
-    /// Execute one major step.
+    /// Execute one major step: refresh the rate flags, sweep the tape
+    /// twice (output then update).
     pub fn step(&mut self) -> Result<(), SimError> {
-        if self.compiled.is_some() {
-            return self.step_compiled();
-        }
         // One predictable branch when tracing is off (the <2 % overhead
         // budget of the disabled path rides on this being the only cost).
         let tracing = self.tracer.is_enabled();
@@ -539,8 +511,7 @@ impl Engine {
                 self.tracer.begin(ids.step, ts);
             }
         }
-        // refresh the due flag of each discrete rate once per step
-        for (flag, bucket) in self.bucket_due.iter_mut().zip(&self.plan.buckets) {
+        for (flag, bucket) in self.bucket_due.iter_mut().zip(&self.tape.exec.buckets) {
             *flag = bucket.due(self.step_index);
         }
         if tracing {
@@ -554,20 +525,7 @@ impl Engine {
                 self.tracer.begin(ids.output, ts);
             }
         }
-        // output phase + event dispatch
-        let mut evals: u64 = 0;
-        for k in 0..self.plan.order.len() {
-            let idx = self.plan.order[k] as usize;
-            if !self.due(idx) {
-                continue;
-            }
-            evals += 1;
-            self.exec_phase(idx, true);
-            if !self.scratch_events.is_empty() {
-                self.enqueue_emitted(idx);
-                self.drain_events()?;
-            }
-        }
+        let mut evals = self.sweep(true)?;
         if tracing {
             if let Some(ids) = &self.trace_ids {
                 let ts = self.tracer.now();
@@ -575,77 +533,16 @@ impl Engine {
                 self.tracer.begin(ids.update, ts);
             }
         }
-        // update phase
-        for k in 0..self.plan.order.len() {
-            let idx = self.plan.order[k] as usize;
-            if !self.due(idx) {
-                continue;
-            }
-            evals += 1;
-            self.exec_phase(idx, false);
-        }
-        self.block_evals += evals;
+        evals += self.sweep(false)?;
+        self.dispatch.block_evals += evals;
         self.step_index += 1;
         self.t = self.step_index as f64 * self.dt;
         if tracing {
             if let Some(ids) = &self.trace_ids {
                 let ts = self.tracer.now();
                 self.tracer.end(ids.update, ts);
-                self.tracer.set(ids.evals, self.block_evals);
-                self.tracer.set(ids.trig, self.triggered_execs);
-                self.tracer.end(ids.step, ts);
-            }
-        }
-        Ok(())
-    }
-
-    /// One major step on the fused-kernel tape: refresh the rate flags,
-    /// sweep the tape twice (output then update). Trace structure mirrors
-    /// the interpreter's so BENCH/trace tooling reads both identically.
-    fn step_compiled(&mut self) -> Result<(), SimError> {
-        let tracing = self.tracer.is_enabled();
-        if tracing {
-            let ts = self.tracer.now();
-            if let Some(ids) = &self.trace_ids {
-                self.tracer.begin(ids.step, ts);
-            }
-        }
-        for (flag, bucket) in self.bucket_due.iter_mut().zip(&self.plan.buckets) {
-            *flag = bucket.due(self.step_index);
-        }
-        if tracing {
-            if let Some(ids) = &self.trace_ids {
-                let ts = self.tracer.now();
-                for (b, &due) in self.bucket_due.iter().enumerate() {
-                    if due {
-                        self.tracer.instant(ids.buckets[b], ts);
-                    }
-                }
-                self.tracer.begin(ids.output, ts);
-            }
-        }
-        let cs = self.compiled.as_mut().expect("step_compiled without compiled state");
-        let mut evals =
-            crate::kernel::sweep(&cs.plan, &mut cs.rt, self.t, self.dt, &self.bucket_due, true);
-        if tracing {
-            if let Some(ids) = &self.trace_ids {
-                let ts = self.tracer.now();
-                self.tracer.end(ids.output, ts);
-                self.tracer.begin(ids.update, ts);
-            }
-        }
-        let cs = self.compiled.as_mut().expect("step_compiled without compiled state");
-        evals +=
-            crate::kernel::sweep(&cs.plan, &mut cs.rt, self.t, self.dt, &self.bucket_due, false);
-        self.block_evals += evals;
-        self.step_index += 1;
-        self.t = self.step_index as f64 * self.dt;
-        if tracing {
-            if let Some(ids) = &self.trace_ids {
-                let ts = self.tracer.now();
-                self.tracer.end(ids.update, ts);
-                self.tracer.set(ids.evals, self.block_evals);
-                self.tracer.set(ids.trig, self.triggered_execs);
+                self.tracer.set(ids.evals, self.dispatch.block_evals);
+                self.tracer.set(ids.trig, self.dispatch.triggered_execs);
                 self.tracer.end(ids.step, ts);
             }
         }
@@ -660,26 +557,21 @@ impl Engine {
         Ok(())
     }
 
-    /// Reset time, state and logs for a fresh run. The compiled plan (or
-    /// tape) is reused as-is — no cache lookup, no recompilation:
-    /// scheduling derives from the immutable rate buckets and the tape
-    /// reloads its initial state pool, so a rerun reproduces the
+    /// Reset time, state and logs for a fresh run. The tape is reused
+    /// as-is — no cache lookup, no recompilation: scheduling derives from
+    /// the immutable rate buckets, the runtime reloads its initial state
+    /// pool and every block instance resets, so a rerun reproduces the
     /// identical trajectory.
     pub fn reset(&mut self) {
         self.t = 0.0;
         self.step_index = 0;
-        self.triggered_execs = 0;
-        self.block_evals = 0;
-        self.event_queue.clear();
+        self.dispatch.triggered_execs = 0;
+        self.dispatch.block_evals = 0;
+        self.dispatch.queue.clear();
         for b in &mut self.diagram.blocks {
             b.reset();
         }
-        for v in &mut self.values {
-            *v = Value::default();
-        }
-        if let Some(cs) = self.compiled.as_mut() {
-            cs.rt.reset(&cs.plan);
-        }
+        self.rt.reset(&self.tape);
     }
 }
 

@@ -1,26 +1,32 @@
-//! Compiled fused-kernel step backend.
+//! The kernel tape: the one step executor.
 //!
-//! The plan interpreter in [`crate::engine`] walks `ExecutionPlan`
-//! tables every step: resolve each input slot, gather into a scratch
-//! buffer, virtual-dispatch `Block::output`/`Block::update`, scatter the
-//! results. This module *compiles* the plan instead: each block is
-//! lowered once into a [`KernelSpec`] — a monomorphized
+//! Each block is lowered once into a [`KernelSpec`] — a monomorphized
 //! `fn(&mut KernelCtx)` per block family plus its parameters, constants
 //! and state layout — and the whole diagram becomes a flat tape of
 //! `KInstr` entries with every operand slot, parameter window and
-//! rate-bucket membership pre-resolved. `step` is then a branch-light
+//! rate-bucket membership pre-resolved. A step is then a branch-light
 //! sweep over the tape: no per-step `dyn Block` dispatch, no input
 //! resolution walk, no scratch gather/scatter.
 //!
+//! A block that does not lower — a custom block, a subsystem, a sink,
+//! anything with event ports, `Triggered`, or with more than one output
+//! — gets a *trampoline* entry instead. It carries no kernel: the
+//! [`crate::Engine`] running the tape gathers the block's inputs from the
+//! arena and calls its own block instance, whose `BlockCtx` outputs are
+//! the block's arena slots. Triggered blocks get trampoline entries past
+//! the end of the periodic tape, which the sweep never reaches; the
+//! engine dispatches them from its function-call queue. A tape without
+//! trampolines takes a sweep that never checks for them.
+//!
 //! Three consumers sit on top of the tape:
 //!
-//! * [`crate::Engine`] with `Backend::Compiled` (the default) steps one
-//!   instance; any block that cannot lower falls the whole engine back
-//!   to the interpreter, so behaviour never changes, only speed.
+//! * [`crate::Engine`] steps one instance, trampolines included.
 //! * [`BatchEngine`] steps N instances of the *same* compiled plan over
 //!   structure-of-arrays lanes: the value arena, state, parameter and
 //!   constant pools are replicated per lane and every tape entry loops
-//!   over lanes, amortizing instruction decode across instances.
+//!   over lanes, amortizing instruction decode across instances. Lanes
+//!   have no block instances of their own, so it refuses a tape with a
+//!   trampoline entry.
 //! * [`PlanCache`] keys compiled artifacts by `Diagram::fingerprint()`
 //!   plus a lowered-spec digest, so repeated instantiations of the same
 //!   topology (verify campaigns, `reset()`-heavy workloads) reuse the
@@ -31,12 +37,14 @@
 //! the win comes from removing dispatch and gather work, not from
 //! removing bounds checks with `unsafe`.
 //!
-//! Bit-exactness against the interpreter is the contract: every kernel
-//! reproduces its block's `output`/`update` arithmetic operation-for-
-//! operation (same fold order, same `Value` variants), and the
-//! `peert-verify` "kernel" phase plus `tests/kernel_props.rs` enforce it
-//! on every port of every step of generated diagrams.
+//! Bit-exactness with the blocks themselves is the contract: every
+//! kernel reproduces its block's `output`/`update` arithmetic
+//! operation-for-operation (same fold order, same `Value` variants), and
+//! the `peert-verify` "kernel" phase plus `tests/kernel_props.rs` enforce
+//! it against the reference interpreter on every port of every step of
+//! generated diagrams.
 
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::block::{Block, SampleTime};
@@ -148,8 +156,7 @@ pub(crate) type KernelFn = fn(&mut KernelCtx);
 // Kernel bodies
 // ---------------------------------------------------------------------
 // Each body reproduces its block's `output`/`update` arithmetic exactly
-// (fold order and all) so trajectories match the interpreter bit for
-// bit.
+// (fold order and all) so trajectories match the block bit for bit.
 
 fn k_nop(_c: &mut KernelCtx) {}
 
@@ -598,8 +605,7 @@ fn k_lookup1d(c: &mut KernelCtx) {
 /// Returned by [`crate::block::Block::lower`]. Construction is
 /// crate-internal: lowering is an optimization of the built-in library,
 /// and external `Block` implementations simply keep the default
-/// `lower() -> None`, which makes any diagram containing them fall back
-/// to the interpreter as a whole.
+/// `lower() -> None`, which gives them a trampoline tape entry.
 pub struct KernelSpec {
     pub(crate) out: KernelFn,
     pub(crate) upd: Option<KernelFn>,
@@ -608,6 +614,8 @@ pub struct KernelSpec {
     pub(crate) state: Vec<f64>,
     pub(crate) state_reset: Vec<f64>,
     pub(crate) foldable: bool,
+    /// A trampoline: the engine calls the block instance instead.
+    pub(crate) tramp: bool,
     pub(crate) family: &'static str,
 }
 
@@ -622,8 +630,16 @@ impl KernelSpec {
             state: Vec::new(),
             state_reset: Vec::new(),
             foldable: false,
+            tramp: false,
             family,
         }
+    }
+
+    /// A trampoline entry for a block of type `type_name`. It bakes in
+    /// nothing but the block's wiring and schedule, which
+    /// `Diagram::fingerprint` covers, so cached tapes stay sound.
+    fn trampoline(type_name: &'static str) -> Self {
+        KernelSpec { tramp: true, ..Self::stateless(k_nop, type_name) }
     }
 
     /// Attach parameters (pre-resolved scalars the kernel reads).
@@ -856,45 +872,30 @@ impl KernelSpec {
 // Errors
 // ---------------------------------------------------------------------
 
-/// Why a diagram could not be compiled to the kernel backend.
-///
-/// `Engine` treats any of these as "run interpreted instead"; they are
-/// surfaced directly only by APIs that *require* the compiled backend
-/// ([`BatchEngine`], `Engine::compiled_pruned`).
+/// Why [`BatchEngine`] refused a diagram.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KernelError {
-    /// The block kind has no kernel lowering.
-    Unlowered {
-        /// Offending block index.
+    /// The block needs a trampoline entry (no kernel lowering, event
+    /// ports, `Triggered`, or more than one output). A trampoline calls
+    /// one block instance, and batched lanes have none of their own.
+    Trampoline {
+        /// The refused block's index.
         block: usize,
+        /// Its name in the diagram.
+        name: String,
         /// Its `type_name()`.
         type_name: String,
-    },
-    /// The block emits or consumes function-call events, which the
-    /// periodic tape does not model.
-    Events {
-        /// Offending block index.
-        block: usize,
-    },
-    /// The block has more than one output port.
-    MultiOutput {
-        /// Offending block index.
-        block: usize,
     },
 }
 
 impl std::fmt::Display for KernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelError::Unlowered { block, type_name } => {
-                write!(f, "block #{block} ({type_name}) has no kernel lowering")
-            }
-            KernelError::Events { block } => {
-                write!(f, "block #{block} uses function-call events")
-            }
-            KernelError::MultiOutput { block } => {
-                write!(f, "block #{block} has more than one output port")
-            }
+            KernelError::Trampoline { block, name, type_name } => write!(
+                f,
+                "block #{block} '{name}' ({type_name}) runs through a trampoline, \
+                 which batched lanes cannot share"
+            ),
         }
     }
 }
@@ -910,6 +911,11 @@ pub(crate) struct KInstr {
     pub(crate) out: KernelFn,
     pub(crate) upd: Option<KernelFn>,
     pub(crate) sched: Sched,
+    /// A trampoline: the engine calls block `block`'s instance instead
+    /// of `out`/`upd`.
+    pub(crate) tramp: bool,
+    /// The diagram block this entry runs.
+    pub(crate) block: u32,
     pub(crate) dst: u32,
     pub(crate) obase: u32,
     pub(crate) n_ops: u32,
@@ -929,7 +935,13 @@ pub(crate) struct KInstr {
 /// can be shared by many engines via the [`PlanCache`].
 pub struct CompiledPlan {
     pub(crate) exec: ExecutionPlan,
+    /// Periodic entries in topological order, then the triggered
+    /// blocks' entries, which only event dispatch runs.
     pub(crate) tape: Vec<KInstr>,
+    /// Length of the periodic prefix of `tape`.
+    pub(crate) periodic: usize,
+    /// Trampoline entries on the tape.
+    pub(crate) trampolines: usize,
     pub(crate) opool: Vec<u32>,
     pub(crate) params: Vec<f64>,
     pub(crate) consts: Vec<Value>,
@@ -947,9 +959,15 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// How many tape entries the plan executes per sweep.
+    /// How many tape entries the plan holds (the triggered blocks'
+    /// entries included).
     pub fn tape_len(&self) -> usize {
         self.tape.len()
+    }
+
+    /// How many tape entries are trampolines into block instances.
+    pub fn trampolines(&self) -> usize {
+        self.trampolines
     }
 
     /// How many blocks were const-folded into compile-time constants.
@@ -969,6 +987,7 @@ impl CompiledPlan {
         push_u64(&mut b, self.dt.to_bits());
         push_u32(&mut b, self.arena_slots as u32);
         push_u32(&mut b, self.zero_slot);
+        push_u32(&mut b, self.periodic as u32);
         b.push(u8::from(self.single_rate));
         for bucket in &self.exec.buckets {
             push_u64(&mut b, bucket.period_steps);
@@ -978,6 +997,8 @@ impl CompiledPlan {
             b.extend_from_slice(i.family.as_bytes());
             b.push(0);
             b.push(u8::from(i.upd.is_some()));
+            b.push(u8::from(i.tramp));
+            push_u32(&mut b, i.block);
             match i.sched {
                 Sched::EveryStep => push_u32(&mut b, u32::MAX),
                 Sched::Bucket(k) => push_u32(&mut b, k),
@@ -1026,30 +1047,39 @@ fn value_tag_bits(v: Value) -> (u8, u64) {
 // Lowering & compilation
 // ---------------------------------------------------------------------
 
-/// Lower one block, enforcing the tape's structural preconditions.
-fn lower_block(b: &dyn Block, id: usize) -> Result<KernelSpec, KernelError> {
+/// Lower one block to a kernel, or to a trampoline when the block has
+/// no lowering or the kernel tape cannot model it (event ports,
+/// `Triggered`, more than one output).
+fn lower_block(b: &dyn Block) -> KernelSpec {
     let ports = b.ports();
-    if ports.events > 0 || matches!(b.sample(), SampleTime::Triggered) {
-        return Err(KernelError::Events { block: id });
-    }
-    if ports.outputs > 1 {
-        return Err(KernelError::MultiOutput { block: id });
-    }
-    b.lower().ok_or_else(|| KernelError::Unlowered {
-        block: id,
-        type_name: b.type_name().to_string(),
-    })
+    let kernel = if ports.events > 0
+        || ports.outputs > 1
+        || matches!(b.sample(), SampleTime::Triggered)
+    {
+        None
+    } else {
+        b.lower()
+    };
+    kernel.unwrap_or_else(|| KernelSpec::trampoline(b.type_name()))
 }
 
-/// Lower every block of `diagram` (the cheap fail-fast stage — cache
-/// lookups run this without paying for a full tape build).
-fn lower_all(diagram: &Diagram) -> Result<Vec<KernelSpec>, KernelError> {
-    diagram
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| lower_block(b.as_ref(), i))
-        .collect()
+/// Lower every block of `diagram` (the cheap stage — cache lookups run
+/// this without paying for a full tape build).
+fn lower_all(diagram: &Diagram) -> Vec<KernelSpec> {
+    diagram.blocks.iter().map(|b| lower_block(b.as_ref())).collect()
+}
+
+/// The first block of `diagram` that lowered to a trampoline, as the
+/// error [`BatchEngine`] refuses it with.
+fn refuse_trampolines(diagram: &Diagram, specs: &[KernelSpec]) -> Result<(), KernelError> {
+    match specs.iter().position(|s| s.tramp) {
+        None => Ok(()),
+        Some(block) => Err(KernelError::Trampoline {
+            block,
+            name: diagram.names[block].clone(),
+            type_name: specs[block].family.to_string(),
+        }),
+    }
 }
 
 /// FNV-1a digest of the lowered specs plus compile options. Combined
@@ -1075,7 +1105,7 @@ fn specs_digest(specs: &[KernelSpec], dt: f64, fold: bool, prune: &[usize]) -> u
     }
     for s in specs {
         eat(s.family.as_bytes());
-        eat(&[0, u8::from(s.upd.is_some()), u8::from(s.foldable)]);
+        eat(&[0, u8::from(s.upd.is_some()), u8::from(s.foldable), u8::from(s.tramp)]);
         for &p in &s.params {
             eat(&p.to_bits().to_le_bytes());
         }
@@ -1098,19 +1128,17 @@ fn specs_digest(specs: &[KernelSpec], dt: f64, fold: bool, prune: &[usize]) -> u
 ///
 /// `prune` lists block indices to drop from the tape entirely (the
 /// lint-proved dead set); `fold` enables const-subgraph pre-evaluation.
-/// Fails with the first [`KernelError`] if any block cannot lower.
 pub(crate) fn compile(
     diagram: &Diagram,
     order: &[BlockId],
     dt: f64,
     prune: &[usize],
     fold: bool,
-) -> Result<CompiledPlan, KernelError> {
-    let specs = lower_all(diagram)?;
-    Ok(build(diagram, order, dt, specs, prune, fold))
+) -> CompiledPlan {
+    build(diagram, order, dt, lower_all(diagram), prune, fold)
 }
 
-/// Assemble the tape from already-lowered specs (infallible).
+/// Assemble the tape from already-lowered specs.
 fn build(
     diagram: &Diagram,
     order: &[BlockId],
@@ -1140,7 +1168,10 @@ fn build(
     let mut state_reset = Vec::new();
     let mut block_instr = vec![u32::MAX; n];
 
-    for &b in &exec.order {
+    // the periodic sweep in topological order, then the triggered blocks
+    // (absent from `order`), which only event dispatch reaches
+    let triggered = (0..n as u32).filter(|&b| exec.sched[b as usize] == Sched::Never);
+    for b in exec.order.iter().copied().chain(triggered) {
         let bi = b as usize;
         if prune.contains(&bi) {
             continue;
@@ -1169,6 +1200,8 @@ fn build(
             out: s.out,
             upd: s.upd,
             sched: exec.sched[bi],
+            tramp: s.tramp,
+            block: b,
             dst,
             obase,
             n_ops,
@@ -1183,9 +1216,13 @@ fn build(
     }
 
     let arena_slots = exec.arena_len + 1;
+    let periodic = tape.iter().filter(|i| i.sched != Sched::Never).count();
+    let trampolines = tape.iter().filter(|i| i.tramp).count();
     CompiledPlan {
         exec,
         tape,
+        periodic,
+        trampolines,
         opool,
         params,
         consts,
@@ -1241,7 +1278,7 @@ fn fold_constants(
                 continue;
             }
             let s = &specs[bi];
-            let is_root = s.family == "Constant";
+            let is_root = !s.tramp && s.family == "Constant";
             if !is_root && !s.foldable {
                 continue;
             }
@@ -1365,8 +1402,19 @@ impl PlanCache {
         order: &[BlockId],
         dt: f64,
         fold: bool,
-    ) -> Result<(Arc<CompiledPlan>, bool), KernelError> {
-        let specs = lower_all(diagram)?;
+    ) -> (Arc<CompiledPlan>, bool) {
+        self.get_or_build(diagram, order, dt, fold, lower_all(diagram))
+    }
+
+    /// [`PlanCache::get_or_compile`] over already-lowered specs.
+    fn get_or_build(
+        &mut self,
+        diagram: &Diagram,
+        order: &[BlockId],
+        dt: f64,
+        fold: bool,
+        specs: Vec<KernelSpec>,
+    ) -> (Arc<CompiledPlan>, bool) {
         let digest = specs_digest(&specs, dt, fold, &[]);
         let fingerprint = diagram.fingerprint();
         if let Some(pos) = self
@@ -1378,7 +1426,7 @@ impl PlanCache {
             let plan = Arc::clone(&entry.plan);
             self.entries.insert(0, entry);
             self.hits += 1;
-            return Ok((plan, true));
+            return (plan, true);
         }
         let plan = Arc::new(build(diagram, order, dt, specs, &[], fold));
         self.misses += 1;
@@ -1387,7 +1435,7 @@ impl PlanCache {
             self.evictions += (self.entries.len() - self.cap) as u64;
             self.entries.truncate(self.cap);
         }
-        Ok((plan, false))
+        (plan, false)
     }
 }
 
@@ -1422,15 +1470,17 @@ pub fn global_cache_stats() -> CacheStats {
 }
 
 /// Digest of `diagram`'s lowered kernel specs under the batch-engine
-/// compilation flags (`fold` off), or `None` when any block refuses to
-/// lower (such diagrams need the interpreter).
+/// compilation flags (`fold` off), or `None` when any block needs a
+/// trampoline entry (such diagrams cannot run in [`BatchEngine`] lanes).
 ///
 /// Two diagrams sharing both this digest and [`Diagram::fingerprint`]
 /// compile to the same [`CompiledPlan`] cache entry, so a scheduler can
 /// use the digest as a cheap pre-grouping key for lane coalescing
 /// without compiling anything.
 pub fn lowering_digest(diagram: &Diagram, dt: f64) -> Option<u64> {
-    lower_all(diagram).ok().map(|specs| specs_digest(&specs, dt, false, &[]))
+    let specs = lower_all(diagram);
+    refuse_trampolines(diagram, &specs).ok()?;
+    Some(specs_digest(&specs, dt, false, &[]))
 }
 
 // ---------------------------------------------------------------------
@@ -1516,10 +1566,6 @@ impl KernelRuntime {
     pub(crate) fn reset(&mut self, plan: &CompiledPlan) {
         self.values.fill(Value::default());
         self.load_state(plan, &plan.state_reset);
-    }
-
-    pub(crate) fn values(&self) -> &[Value] {
-        &self.values
     }
 
     /// Override parameter `index` of `block` on `lane`. Returns false
@@ -1631,7 +1677,7 @@ struct LanePools {
 
 /// Run one tape instruction's kernel over all lanes.
 #[inline]
-fn run_instr(
+pub(crate) fn run_instr(
     i: &KInstr,
     f: KernelFn,
     plan: &CompiledPlan,
@@ -1661,19 +1707,23 @@ fn run_instr(
     f(&mut ctx);
 }
 
-/// One phase sweep over the tape. Returns the number of due
-/// instructions (= block evaluations, matching the interpreter's
-/// `block_evals` accounting, which counts due blocks in both phases).
-pub(crate) fn sweep(
+/// One phase sweep over the periodic tape. Returns the number of due
+/// entries (= block evaluations: due blocks count in both phases).
+///
+/// `tramp` runs a due trampoline entry. With `TRAMP` false the sweep
+/// never checks for one, so a kernel-only tape pays nothing for them.
+#[inline]
+pub(crate) fn sweep<const TRAMP: bool, E>(
     plan: &CompiledPlan,
     rt: &mut KernelRuntime,
     t: f64,
     dt: f64,
     bucket_due: &[bool],
     output_phase: bool,
-) -> u64 {
+    mut tramp: impl FnMut(&KInstr, &mut KernelRuntime) -> Result<(), E>,
+) -> Result<u64, E> {
     let mut evals = 0u64;
-    for i in &plan.tape {
+    for i in &plan.tape[..plan.periodic] {
         let due = plan.single_rate
             || match i.sched {
                 Sched::EveryStep => true,
@@ -1684,38 +1734,15 @@ pub(crate) fn sweep(
             continue;
         }
         evals += 1;
-        if output_phase {
+        if TRAMP && i.tramp {
+            tramp(i, rt)?;
+        } else if output_phase {
             run_instr(i, i.out, plan, rt, t, dt);
         } else if let Some(u) = i.upd {
             run_instr(i, u, plan, rt, t, dt);
         }
     }
-    evals
-}
-
-/// Run one block's output+update kernels immediately (the compiled
-/// equivalent of a function-call `fire`). Returns false when the block
-/// has no tape entry.
-pub(crate) fn run_block(
-    plan: &CompiledPlan,
-    rt: &mut KernelRuntime,
-    block: usize,
-    t: f64,
-    dt: f64,
-) -> bool {
-    if block >= plan.block_instr.len() {
-        return false;
-    }
-    let ii = plan.block_instr[block];
-    if ii == u32::MAX {
-        return false;
-    }
-    let i = &plan.tape[ii as usize];
-    run_instr(i, i.out, plan, rt, t, dt);
-    if let Some(u) = i.upd {
-        run_instr(i, u, plan, rt, t, dt);
-    }
-    true
+    Ok(evals)
 }
 
 // ---------------------------------------------------------------------
@@ -1731,11 +1758,11 @@ pub(crate) fn run_block(
 /// campaigns). Lanes start identical; diverge them with
 /// [`BatchEngine::set_param`] / [`BatchEngine::set_const`].
 ///
-/// Unlike [`crate::Engine`] there is no interpreter fallback: every
-/// block must lower, or construction fails with the offending
-/// [`KernelError`]. Compiles through the shared [`PlanCache`] with
-/// const-folding *off*, so per-lane parameter overrides keep their
-/// targets.
+/// Lanes share one tape and own no block instances, so every block must
+/// lower to a kernel: a diagram that needs a trampoline entry fails
+/// construction with a [`KernelError`] naming the block. Compiles
+/// through the shared [`PlanCache`] with const-folding *off*, so
+/// per-lane parameter overrides keep their targets.
 pub struct BatchEngine {
     plan: Arc<CompiledPlan>,
     rt: KernelRuntime,
@@ -1750,12 +1777,7 @@ impl BatchEngine {
     /// lanes. The diagram is only borrowed — the tape captures
     /// everything.
     pub fn new(diagram: &Diagram, dt: f64, lanes: usize) -> Result<Self, crate::engine::SimError> {
-        assert!(dt > 0.0, "dt must be positive");
-        let order = diagram.sorted_order()?;
-        let (plan, _) = lock(global_cache())
-            .get_or_compile(diagram, &order, dt, false)
-            .map_err(crate::engine::SimError::Kernel)?;
-        Ok(Self::from_plan(plan, dt, lanes))
+        Self::with_cache(diagram, dt, lanes, &mut lock(global_cache()))
     }
 
     /// Like [`BatchEngine::new`] but through a caller-owned cache (for
@@ -1768,9 +1790,9 @@ impl BatchEngine {
     ) -> Result<Self, crate::engine::SimError> {
         assert!(dt > 0.0, "dt must be positive");
         let order = diagram.sorted_order()?;
-        let (plan, _) = cache
-            .get_or_compile(diagram, &order, dt, false)
-            .map_err(crate::engine::SimError::Kernel)?;
+        let specs = lower_all(diagram);
+        refuse_trampolines(diagram, &specs).map_err(crate::engine::SimError::Kernel)?;
+        let (plan, _) = cache.get_or_build(diagram, &order, dt, false, specs);
         Ok(Self::from_plan(plan, dt, lanes))
     }
 
@@ -1810,8 +1832,10 @@ impl BatchEngine {
                 *due = b.due(self.step_index);
             }
         }
-        sweep(plan, &mut self.rt, self.t, self.dt, &self.bucket_due, true);
-        sweep(plan, &mut self.rt, self.t, self.dt, &self.bucket_due, false);
+        let no_tramp = |_: &KInstr, _: &mut KernelRuntime| Ok::<(), Infallible>(());
+        let (t, dt, due) = (self.t, self.dt, &self.bucket_due);
+        let Ok(_) = sweep::<false, _>(plan, &mut self.rt, t, dt, due, true, no_tramp);
+        let Ok(_) = sweep::<false, _>(plan, &mut self.rt, t, dt, due, false, no_tramp);
         self.step_index += 1;
         self.t = self.step_index as f64 * self.dt;
     }
@@ -1925,38 +1949,10 @@ impl LaneCheckpoint {
 mod tests {
     use super::*;
     use crate::block::{Block, BlockCtx, PortCount, SampleTime};
-    use crate::engine::{Backend, Engine};
+    use crate::engine::Engine;
     use crate::library::continuous::Integrator;
     use crate::library::math::{Gain, Sum};
     use crate::library::sources::{Constant, SineWave};
-
-    /// Step interpreter and compiled engines in lockstep, asserting every
-    /// output port bit-identical after every step.
-    fn assert_lockstep(mut interp: Engine, mut comp: Engine, steps: usize) {
-        assert_eq!(
-            comp.backend(),
-            Backend::Compiled,
-            "compiled engine fell back: {:?}",
-            comp.fallback_reason()
-        );
-        for step in 0..steps {
-            interp.step().unwrap();
-            comp.step().unwrap();
-            for id in interp.diagram().ids() {
-                for p in 0..interp.diagram().block(id).ports().outputs {
-                    let a = interp.probe((id, p));
-                    let b = comp.probe((id, p));
-                    assert_eq!(
-                        value_tag_bits(a),
-                        value_tag_bits(b),
-                        "step {step}, block #{bi} port {p}: interp {a:?} != compiled {b:?}",
-                        bi = id.index()
-                    );
-                }
-            }
-            assert_eq!(interp.block_evals(), comp.block_evals(), "eval accounting diverged");
-        }
-    }
 
     /// Gain-by-3 with a non-trivial rate: period 4 ms, offset 2 ms.
     struct OffsetGain;
@@ -1987,16 +1983,6 @@ mod tests {
         d
     }
 
-    #[test]
-    fn offset_bucket_matches_interpreter_bit_exactly() {
-        let interp = Engine::with_backend(offset_diagram(), 1e-3, Backend::Interpreted).unwrap();
-        let mut cache = PlanCache::new(4);
-        let comp = Engine::with_cache(offset_diagram(), 1e-3, &mut cache).unwrap();
-        // non-zero offset must veto const folding for the gated block
-        assert_eq!(comp.compiled_plan().unwrap().folded_blocks(), 0);
-        assert_lockstep(interp, comp, 40);
-    }
-
     fn foldable_diagram() -> Diagram {
         let mut d = Diagram::new();
         let c1 = d.add("c1", Constant::new(2.0)).unwrap();
@@ -2011,16 +1997,6 @@ mod tests {
         d.connect((g, 0), (mix, 0)).unwrap();
         d.connect((sine, 0), (mix, 1)).unwrap();
         d
-    }
-
-    #[test]
-    fn const_subgraphs_fold_and_stay_bit_exact() {
-        let interp = Engine::with_backend(foldable_diagram(), 1e-3, Backend::Interpreted).unwrap();
-        let mut cache = PlanCache::new(4);
-        let comp = Engine::with_cache(foldable_diagram(), 1e-3, &mut cache).unwrap();
-        // c1, c2, err, g fold; sine and mix stay live
-        assert_eq!(comp.compiled_plan().unwrap().folded_blocks(), 4);
-        assert_lockstep(interp, comp, 50);
     }
 
     #[test]
@@ -2039,11 +2015,11 @@ mod tests {
         let d2 = foldable_diagram();
         let o1 = d1.sorted_order().unwrap();
         let o2 = d2.sorted_order().unwrap();
-        let p1 = compile(&d1, &o1, 1e-3, &[], true).unwrap();
-        let p2 = compile(&d2, &o2, 1e-3, &[], true).unwrap();
+        let p1 = compile(&d1, &o1, 1e-3, &[], true);
+        let p2 = compile(&d2, &o2, 1e-3, &[], true);
         assert_eq!(p1.structural_bytes(), p2.structural_bytes());
         // folding changes the tape bytes (same wiring, different consts)
-        let p3 = compile(&d1, &o1, 1e-3, &[], false).unwrap();
+        let p3 = compile(&d1, &o1, 1e-3, &[], false);
         assert_ne!(p1.structural_bytes(), p3.structural_bytes());
     }
 
@@ -2075,30 +2051,17 @@ mod tests {
         let d = foldable_diagram();
         let order = d.sorted_order().unwrap();
         // fold on: the gain was folded away, so its params are gone
-        let folded_plan = compile(&d, &order, 1e-3, &[], true).unwrap();
+        let folded_plan = compile(&d, &order, 1e-3, &[], true);
         let mut rt = KernelRuntime::new(&folded_plan, 1);
         assert!(!rt.set_param(&folded_plan, 3, 0, 0, 9.0), "folded block has no live params");
         // fold off: the gain keeps its parameter window
-        let live_plan = compile(&d, &order, 1e-3, &[], false).unwrap();
+        let live_plan = compile(&d, &order, 1e-3, &[], false);
         let mut rt = KernelRuntime::new(&live_plan, 1);
         assert!(rt.set_param(&live_plan, 3, 0, 0, 9.0));
         assert!(!rt.set_param(&live_plan, 3, 7, 0, 9.0), "index past the window");
         assert!(!rt.set_param(&live_plan, 99, 0, 0, 9.0), "block out of range");
         assert!(!rt.set_const(&live_plan, 3, 0, Value::F64(1.0)), "gain is not a Constant");
         assert!(rt.set_const(&live_plan, 0, 0, Value::F64(8.0)));
-    }
-
-    #[test]
-    fn unconnected_inputs_read_the_zero_slot() {
-        let mut d = Diagram::new();
-        let g = d.add("g", Gain::new(5.0)).unwrap();
-        let interp = Engine::with_backend(d, 1e-3, Backend::Interpreted).unwrap();
-        let mut d2 = Diagram::new();
-        let _ = d2.add("g", Gain::new(5.0)).unwrap();
-        let mut cache = PlanCache::new(2);
-        let comp = Engine::with_cache(d2, 1e-3, &mut cache).unwrap();
-        assert_lockstep(interp, comp, 3);
-        let _ = g;
     }
 
     #[test]

@@ -22,15 +22,16 @@
 //!   a peripheral interrupt fires ("The events are represented as
 //!   function-call ports in the PE blocks", §5);
 //! * a **diagram graph** ([`graph`]) with topological sorting and algebraic
-//!   loop detection, a precompiled **execution plan** ([`plan`]) with a
-//!   flat value arena, dense input-resolution tables and integer-step rate
-//!   buckets, and a fixed-step **engine** ([`engine`]) executing the
+//!   loop detection, and **execution-plan tables** ([`plan`]): a flat value
+//!   arena, dense input-resolution tables and integer-step rate buckets;
+//! * the **kernel tape** ([`kernel`]), the one step executor: the plan
+//!   lowered into a flat tape of monomorphized kernels (no per-step
+//!   dispatch), with trampoline entries for blocks that do not lower,
+//!   cached by diagram fingerprint, plus a batched SoA engine stepping N
+//!   instances of the same kernel-only tape together;
+//! * a fixed-step **engine** ([`engine`]) stepping the tape: the
 //!   closed-loop single model (plant + controller, §5) in MIL simulation
 //!   with an allocation-free step loop;
-//! * a **compiled kernel backend** ([`kernel`]): the plan lowered further
-//!   into a flat tape of monomorphized kernels (no per-step dispatch),
-//!   cached by diagram fingerprint, with a batched SoA engine stepping N
-//!   instances of the same plan together;
 //! * **signal logging** ([`log`]) — the Scope data every experiment
 //!   post-processes.
 

@@ -30,7 +30,7 @@ impl Block for Gain {
         PortCount::new(1, 1)
     }
     fn lower(&self) -> Option<crate::kernel::KernelSpec> {
-        // Typed-output gains cast per step; keep those interpreted.
+        // Typed-output gains cast per step; those run through a trampoline.
         match self.out_type {
             None => Some(crate::kernel::KernelSpec::gain(self.gain)),
             Some(_) => None,

@@ -11,10 +11,13 @@ pub struct Saturation {
 }
 
 impl Saturation {
-    /// New saturation; panics if the interval is empty.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "saturation interval is empty");
-        Saturation { lo, hi }
+    /// New saturation over `[lo, hi]`; an empty or NaN interval is an
+    /// error (the clamp would panic on it every step).
+    pub fn new(lo: f64, hi: f64) -> Result<Self, String> {
+        if lo.is_nan() || hi.is_nan() || lo > hi {
+            return Err(format!("saturation interval [{lo}, {hi}] is empty"));
+        }
+        Ok(Saturation { lo, hi })
     }
 }
 
@@ -73,9 +76,13 @@ pub struct RateLimiter {
 }
 
 impl RateLimiter {
-    /// Symmetric rate limiter.
-    pub fn new(rate: f64) -> Self {
-        RateLimiter { rising: rate, falling: rate, state: 0.0, primed: false }
+    /// Symmetric rate limiter; a negative or NaN rate is an error (the
+    /// slew clamp would panic on it at the first step).
+    pub fn new(rate: f64) -> Result<Self, String> {
+        if rate.is_nan() || rate < 0.0 {
+            return Err(format!("rate limiter rate {rate} is not a non-negative number"));
+        }
+        Ok(RateLimiter { rising: rate, falling: rate, state: 0.0, primed: false })
     }
 }
 
@@ -217,10 +224,18 @@ mod tests {
 
     #[test]
     fn saturation_clamps() {
-        let mut s = Saturation::new(-1.0, 1.0);
+        let mut s = Saturation::new(-1.0, 1.0).unwrap();
         assert_eq!(run1(&mut s, 5.0), 1.0);
         assert_eq!(run1(&mut s, -5.0), -1.0);
         assert_eq!(run1(&mut s, 0.3), 0.3);
+    }
+
+    #[test]
+    fn saturation_rejects_empty_and_nan_intervals() {
+        assert!(Saturation::new(1.0, 0.0).is_err());
+        assert!(Saturation::new(f64::NAN, 1.0).is_err());
+        assert!(Saturation::new(0.0, f64::NAN).is_err());
+        assert!(Saturation::new(0.5, 0.5).is_ok(), "a point interval clamps fine");
     }
 
     #[test]
@@ -233,12 +248,19 @@ mod tests {
 
     #[test]
     fn rate_limiter_bounds_slew() {
-        let mut r = RateLimiter::new(10.0); // 0.1 per 10 ms step
+        let mut r = RateLimiter::new(10.0).unwrap(); // 0.1 per 10 ms step
         assert_eq!(run1(&mut r, 0.0), 0.0, "primes at first input");
         let y = run1(&mut r, 100.0);
         assert!((y - 0.1).abs() < 1e-12, "rise limited to rate*dt, got {y}");
         let y = run1(&mut r, -100.0);
         assert!((y - 0.0).abs() < 1e-12, "falls at most rate*dt");
+    }
+
+    #[test]
+    fn rate_limiter_rejects_negative_and_nan_rates() {
+        assert!(RateLimiter::new(-1.0).is_err());
+        assert!(RateLimiter::new(f64::NAN).is_err());
+        assert!(RateLimiter::new(0.0).is_ok(), "a zero rate holds the first input");
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Precompiled execution plan for the fixed-step engine.
+//! Execution-plan tables: the layout the kernel tape is built on.
 //!
-//! [`Engine::new`](crate::engine::Engine::new) walks the [`Diagram`] once
-//! and compiles everything the hot step loop needs into dense tables:
+//! [`crate::kernel`] walks the [`Diagram`] once and resolves everything a
+//! step touches into dense tables:
 //!
 //! * a **value arena** layout — every output port of every block gets one
-//!   slot in a single flat `Vec<Value>`, replacing the per-block
-//!   `Vec<Vec<Value>>` of the naive engine;
+//!   slot in a single flat `Vec<Value>`;
 //! * an **input-resolution table** — for each block input port, the arena
-//!   slot of the driving output (or [`UNCONNECTED`]), replacing a
-//!   `HashMap` lookup per port per phase per step;
+//!   slot of the driving output (or [`UNCONNECTED`]);
 //! * **integer-step schedules** — discrete sample times are converted to
 //!   whole numbers of fundamental steps and grouped into [`RateBucket`]s,
 //!   so a sample hit is one integer compare instead of a float compare
@@ -57,7 +55,7 @@ impl RateBucket {
     }
 }
 
-/// The compiled diagram: everything `Engine::step` touches, laid out flat.
+/// The compiled diagram: everything a tape step touches, laid out flat.
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     /// Feedthrough-compatible execution order (block indices); triggered

@@ -4,8 +4,8 @@
 //! diagram across a process boundary — the verify harness's generated
 //! test cases, the serve wire protocol's session submissions — uses a
 //! [`DiagramSpec`]: a plain-data description that can be instantiated
-//! *fresh* for every execution path (interpreted reference, precompiled
-//! engine plan, codegen/PIL pipeline, a remote `peert-serve` daemon).
+//! *fresh* for every execution path (reference interpreter, kernel
+//! tape, codegen/PIL pipeline, a remote `peert-serve` daemon).
 //! Two instantiations of the same spec are the same model, which
 //! [`DiagramSpec::build`] guarantees by construction and the harnesses
 //! double-check through [`crate::Diagram::fingerprint`].
@@ -234,10 +234,10 @@ impl BlockSpec {
                 Box::new(MinMax { is_max: *is_max, inputs: *inputs })
             }
             BlockSpec::Abs => Box::new(Abs),
-            BlockSpec::Saturation { lo, hi } => Box::new(Saturation::new(*lo, *hi)),
+            BlockSpec::Saturation { lo, hi } => Box::new(Saturation::new(*lo, *hi)?),
             BlockSpec::DeadZone { width } => Box::new(DeadZone { width: *width }),
             BlockSpec::Quantizer { interval } => Box::new(Quantizer { interval: *interval }),
-            BlockSpec::RateLimiter { rate } => Box::new(RateLimiter::new(*rate)),
+            BlockSpec::RateLimiter { rate } => Box::new(RateLimiter::new(*rate)?),
             BlockSpec::Relay { on_point, off_point, on_value, off_value } => {
                 Box::new(Relay::new(*on_point, *off_point, *on_value, *off_value)?)
             }

@@ -1,20 +1,24 @@
-//! Differential properties of the compiled kernel backend.
+//! Differential properties of the kernel tape.
 //!
 //! The contract under test (DESIGN.md §10): for every diagram the
-//! generator can produce, the fused-kernel tape is **bit-exact** with
-//! the plan interpreter — every output port, every step, including
-//! multirate exact-hit boundaries and external `fire()` dispatches —
-//! and every `BatchEngine` lane is bit-exact with a solo engine.
+//! generator can produce, and for hand-built ones with custom blocks,
+//! the engine's tape is **bit-exact** with `peert-verify`'s reference
+//! interpreter — every output port, every step, including multirate
+//! exact-hit boundaries, const-folded subgraphs, trampoline entries and
+//! external `fire()` dispatches, with equal block-eval counts — and every
+//! `BatchEngine` lane is bit-exact with the same reference.
 //! Comparisons go through `f64::to_bits`-style raw encodings
 //! (`peert_verify::diff::value_bits`), never through `==` on floats.
 
-use peert_model::block::{Block, BlockCtx, PortCount};
+use peert_model::block::{Block, BlockCtx, PortCount, SampleTime};
 use peert_model::graph::{BlockId, Diagram};
-use peert_model::library::math::Gain;
-use peert_model::library::sources::SineWave;
-use peert_model::{Backend, BatchEngine, Engine, PlanCache};
+use peert_model::kernel::{KernelError, KernelSpec};
+use peert_model::library::math::{Gain, Sum};
+use peert_model::library::sources::{Constant, SineWave};
+use peert_model::{BatchEngine, Engine, PlanCache, SimError};
 use peert_verify::diff::value_bits;
 use peert_verify::gen::gen_mil_spec;
+use peert_verify::interp::RefInterp;
 
 const SEED: u64 = 0x5EED_CAFE;
 
@@ -29,39 +33,54 @@ fn port_bits(e: &Engine) -> Vec<(u8, u64)> {
     bits
 }
 
-/// Build interpreter + compiled engines for one generated case and
-/// assert lockstep bit-equality over `steps` steps. `fire_every`
-/// optionally dispatches an external event into the last block every N
-/// steps on both engines (the `fire()` path of the tape).
-fn assert_case_lockstep(seed: u64, case: u64, steps: usize, fire_every: Option<u64>) {
-    let spec = gen_mil_spec(seed, case);
-    let interp_d = spec.build().expect("spec builds");
-    let comp_d = spec.build().expect("spec builds");
-    let mut interp = Engine::with_backend(interp_d, spec.dt, Backend::Interpreted).unwrap();
-    let mut comp = Engine::new(comp_d, spec.dt).unwrap();
-    assert_eq!(
-        comp.backend(),
-        Backend::Compiled,
-        "case {case}: generated diagram must lower fully ({:?})",
-        comp.fallback_reason()
-    );
-    let last = BlockId::from_index(spec.blocks.len() - 1);
+/// The reference interpreter's view of the same ports.
+fn ref_bits(r: &RefInterp) -> Vec<(u8, u64)> {
+    let mut bits = Vec::new();
+    for id in r.ids() {
+        for p in 0..r.outputs_of(id) {
+            bits.push(value_bits(r.probe(id, p)));
+        }
+    }
+    bits
+}
+
+/// Step the engine and the reference interpreter in lockstep over
+/// `steps` steps, asserting every port bit-identical after every step
+/// and equal eval counts at the end. `fire_every` optionally dispatches
+/// an external event into `fire_into` every N steps on both.
+fn assert_lockstep(
+    mut e: Engine,
+    mut r: RefInterp,
+    steps: usize,
+    fire: Option<(u64, BlockId)>,
+    what: &str,
+) {
     for s in 0..steps {
-        interp.step().unwrap();
-        comp.step().unwrap();
-        if let Some(n) = fire_every {
+        e.step().unwrap();
+        r.step();
+        if let Some((n, target)) = fire {
             if (s as u64).is_multiple_of(n) {
-                interp.fire(last).unwrap();
-                comp.fire(last).unwrap();
+                e.fire(target).unwrap();
+                r.fire(target);
             }
         }
-        assert_eq!(
-            port_bits(&interp),
-            port_bits(&comp),
-            "seed {seed:#x} case {case} step {s}: compiled diverged from interpreter"
-        );
+        assert_eq!(port_bits(&e), ref_bits(&r), "{what} step {s}: tape diverged from reference");
     }
-    assert_eq!(interp.block_evals(), comp.block_evals(), "case {case}: eval accounting");
+    assert_eq!(e.block_evals(), r.evals(), "{what}: eval accounting");
+}
+
+fn assert_case_lockstep(seed: u64, case: u64, steps: usize, fire_every: Option<u64>) {
+    let spec = gen_mil_spec(seed, case);
+    let e = Engine::new(spec.build().expect("spec builds"), spec.dt).unwrap();
+    assert_eq!(
+        e.compiled_plan().trampolines(),
+        0,
+        "case {case}: generated diagram must lower fully"
+    );
+    let r = RefInterp::new(spec.build().expect("spec builds"), spec.dt).unwrap();
+    let last = BlockId::from_index(spec.blocks.len() - 1);
+    let what = format!("seed {seed:#x} case {case}");
+    assert_lockstep(e, r, steps, fire_every.map(|n| (n, last)), &what);
 }
 
 #[test]
@@ -75,13 +94,93 @@ fn compiled_is_bit_exact_on_generated_diagrams() {
 }
 
 #[test]
-fn compiled_fire_paths_match_the_interpreter() {
+fn compiled_fire_paths_match_the_reference() {
     for case in 0..16 {
         assert_case_lockstep(SEED ^ 0xF1E, case, 200, Some(7));
     }
 }
 
-/// A block the lowering does not know — forces the interpreter fallback.
+/// A library `Gain` with a non-trivial rate: period 4 ms, offset 2 ms.
+/// It keeps the gain's lowering, so the tape gates a kernel entry on an
+/// offset rate bucket.
+struct OffsetGain(Gain);
+impl Block for OffsetGain {
+    fn type_name(&self) -> &'static str {
+        "OffsetGain"
+    }
+    fn ports(&self) -> PortCount {
+        self.0.ports()
+    }
+    fn sample(&self) -> SampleTime {
+        SampleTime::Discrete { period: 0.004, offset: 0.002 }
+    }
+    fn lower(&self) -> Option<KernelSpec> {
+        self.0.lower()
+    }
+    fn output(&mut self, ctx: &mut BlockCtx) {
+        self.0.output(ctx);
+    }
+}
+
+fn offset_diagram() -> Diagram {
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 25.0)).unwrap();
+    let g = d.add("og", OffsetGain(Gain::new(3.0))).unwrap();
+    d.connect((s, 0), (g, 0)).unwrap();
+    d
+}
+
+#[test]
+fn offset_bucket_matches_the_reference_bit_exactly() {
+    let mut cache = PlanCache::new(4);
+    let e = Engine::with_cache(offset_diagram(), 1e-3, &mut cache).unwrap();
+    assert_eq!(e.compiled_plan().trampolines(), 0);
+    // non-zero offset must veto const folding for the gated block
+    assert_eq!(e.compiled_plan().folded_blocks(), 0);
+    let r = RefInterp::new(offset_diagram(), 1e-3).unwrap();
+    assert_lockstep(e, r, 40, None, "offset bucket");
+}
+
+fn foldable_diagram() -> Diagram {
+    let mut d = Diagram::new();
+    let c1 = d.add("c1", Constant::new(2.0)).unwrap();
+    let c2 = d.add("c2", Constant::new(3.0)).unwrap();
+    let s = d.add("err", Sum::error()).unwrap();
+    let g = d.add("g", Gain::new(1.5)).unwrap();
+    let sine = d.add("sine", SineWave::new(0.5, 50.0)).unwrap();
+    let mix = d.add("mix", Sum::new("++").unwrap()).unwrap();
+    d.connect((c1, 0), (s, 0)).unwrap();
+    d.connect((c2, 0), (s, 1)).unwrap();
+    d.connect((s, 0), (g, 0)).unwrap();
+    d.connect((g, 0), (mix, 0)).unwrap();
+    d.connect((sine, 0), (mix, 1)).unwrap();
+    d
+}
+
+#[test]
+fn const_subgraphs_fold_and_stay_bit_exact() {
+    let mut cache = PlanCache::new(4);
+    let e = Engine::with_cache(foldable_diagram(), 1e-3, &mut cache).unwrap();
+    // c1, c2, err, g fold; sine and mix stay live
+    assert_eq!(e.compiled_plan().folded_blocks(), 4);
+    let r = RefInterp::new(foldable_diagram(), 1e-3).unwrap();
+    assert_lockstep(e, r, 50, None, "folded");
+}
+
+#[test]
+fn unconnected_inputs_read_the_zero_slot() {
+    let lone_gain = || {
+        let mut d = Diagram::new();
+        d.add("g", Gain::new(5.0)).unwrap();
+        d
+    };
+    let mut cache = PlanCache::new(2);
+    let e = Engine::with_cache(lone_gain(), 1e-3, &mut cache).unwrap();
+    let r = RefInterp::new(lone_gain(), 1e-3).unwrap();
+    assert_lockstep(e, r, 3, None, "unconnected");
+}
+
+/// A block the lowering does not know: it gets a trampoline entry.
 struct Opaque;
 impl Block for Opaque {
     fn type_name(&self) -> &'static str {
@@ -100,22 +199,76 @@ fn opaque_diagram() -> Diagram {
     let mut d = Diagram::new();
     let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
     let o = d.add("opaque", Opaque).unwrap();
+    let g = d.add("g", Gain::new(2.0)).unwrap();
     d.connect((s, 0), (o, 0)).unwrap();
+    d.connect((o, 0), (g, 0)).unwrap();
     d
 }
 
 #[test]
-fn unlowered_block_falls_back_to_the_interpreter() {
-    let mut auto = Engine::new(opaque_diagram(), 1e-3).unwrap();
-    assert_eq!(auto.backend(), Backend::Interpreted, "must fall back, not fail");
-    let reason = auto.fallback_reason().expect("fallback reason recorded");
-    assert!(reason.contains("Opaque"), "reason names the offending block: {reason}");
-    // and the fallback engine still computes the right trajectory
-    let mut reference = Engine::with_backend(opaque_diagram(), 1e-3, Backend::Interpreted).unwrap();
-    for _ in 0..100 {
-        auto.step().unwrap();
-        reference.step().unwrap();
-        assert_eq!(port_bits(&auto), port_bits(&reference));
+fn an_unlowered_block_runs_through_a_trampoline_bit_exact_with_the_reference() {
+    let e = Engine::new(opaque_diagram(), 1e-3).unwrap();
+    assert_eq!(e.compiled_plan().trampolines(), 1, "only the opaque block trampolines");
+    assert_eq!(e.compiled_plan().tape_len(), 3);
+    let r = RefInterp::new(opaque_diagram(), 1e-3).unwrap();
+    assert_lockstep(e, r, 100, Some((9, BlockId::from_index(1))), "trampoline");
+}
+
+#[test]
+fn batch_engine_refuses_a_trampoline_and_names_the_block() {
+    let err = BatchEngine::new(&opaque_diagram(), 1e-3, 2).err().expect("refused");
+    let SimError::Kernel(KernelError::Trampoline { block, name, type_name }) = &err else {
+        panic!("expected the trampoline refusal, got {err:?}");
+    };
+    assert_eq!((*block, name.as_str(), type_name.as_str()), (1, "opaque", "Opaque"));
+    let msg = err.to_string();
+    assert!(msg.contains("'opaque'") && msg.contains("Opaque"), "{msg}");
+    assert!(peert_model::lowering_digest(&opaque_diagram(), 1e-3).is_none());
+}
+
+/// A custom block whose rate is a constructor argument.
+struct Paced(f64);
+impl Block for Paced {
+    fn type_name(&self) -> &'static str {
+        "Paced"
+    }
+    fn ports(&self) -> PortCount {
+        PortCount::new(1, 1)
+    }
+    fn sample(&self) -> SampleTime {
+        SampleTime::every(self.0)
+    }
+    fn output(&mut self, ctx: &mut BlockCtx) {
+        let v = ctx.in_f64(0) + 1.0;
+        ctx.set_output(0, v);
+    }
+}
+
+fn paced_diagram(period: f64) -> Diagram {
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
+    let p = d.add("paced", Paced(period)).unwrap();
+    d.connect((s, 0), (p, 0)).unwrap();
+    d
+}
+
+#[test]
+fn plan_cache_keys_trampoline_tapes_by_the_custom_blocks_rate() {
+    let mut cache = PlanCache::new(4);
+    let fast = Engine::with_cache(paced_diagram(0.002), 1e-3, &mut cache).unwrap();
+    let slow = Engine::with_cache(paced_diagram(0.005), 1e-3, &mut cache).unwrap();
+    assert_eq!((cache.hits(), cache.misses()), (0, 2), "one tape per sample time");
+    assert_ne!(
+        fast.compiled_plan().structural_bytes(),
+        slow.compiled_plan().structural_bytes()
+    );
+    let again = Engine::with_cache(paced_diagram(0.005), 1e-3, &mut cache).unwrap();
+    assert!(again.plan_cache_hit(), "a rebuilt identical diagram hits");
+    assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    // the shared tape steps the rebuilt diagram's own block instances
+    for (e, period) in [(fast, 0.002), (again, 0.005)] {
+        let r = RefInterp::new(paced_diagram(period), 1e-3).unwrap();
+        assert_lockstep(e, r, 30, None, "paced");
     }
 }
 
@@ -124,7 +277,6 @@ fn reset_rerun_is_byte_identical_with_zero_extra_misses() {
     let spec = gen_mil_spec(SEED ^ 0x7E5E7, 3);
     let mut cache = PlanCache::new(8);
     let mut e = Engine::with_cache(spec.build().unwrap(), spec.dt, &mut cache).unwrap();
-    assert_eq!(e.backend(), Backend::Compiled);
     assert_eq!((cache.hits(), cache.misses()), (0, 1), "cold compile");
 
     let record = |e: &mut Engine| -> Vec<Vec<(u8, u64)>> {
@@ -168,14 +320,14 @@ fn lru_eviction_counters_match_the_analytic_sequence() {
     let mut first_bytes: Vec<Vec<u8>> = Vec::new();
     for &g in &gains {
         let e = Engine::with_cache(gain_chain(g), 1e-3, &mut cache).unwrap();
-        first_bytes.push(e.compiled_plan().unwrap().structural_bytes());
+        first_bytes.push(e.compiled_plan().structural_bytes());
     }
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 3, 2));
     for (i, &g) in gains.iter().enumerate() {
         let e = Engine::with_cache(gain_chain(g), 1e-3, &mut cache).unwrap();
         // determinism gate: the evicted plan recompiles byte-identically
         assert_eq!(
-            e.compiled_plan().unwrap().structural_bytes(),
+            e.compiled_plan().structural_bytes(),
             first_bytes[i],
             "recompile of evicted plan {i} must be byte-identical"
         );
@@ -190,20 +342,19 @@ fn lru_eviction_counters_match_the_analytic_sequence() {
 }
 
 #[test]
-fn batched_lanes_are_bit_exact_with_solo_engines() {
+fn batched_lanes_are_bit_exact_with_the_reference() {
     for case in [0u64, 5, 11, 23] {
         let spec = gen_mil_spec(SEED ^ 0xBA7C, case);
         let d = spec.build().unwrap();
         let mut cache = PlanCache::new(4);
         let mut batch = BatchEngine::with_cache(&d, spec.dt, 3, &mut cache).unwrap();
-        let mut solo = Engine::with_backend(spec.build().unwrap(), spec.dt, Backend::Interpreted)
-            .unwrap();
+        let mut reference = RefInterp::new(spec.build().unwrap(), spec.dt).unwrap();
         for s in 0..400 {
             batch.step();
-            solo.step().unwrap();
-            for id in solo.diagram().ids() {
-                for p in 0..solo.diagram().block(id).ports().outputs {
-                    let want = value_bits(solo.probe((id, p)));
+            reference.step();
+            for id in reference.ids() {
+                for p in 0..reference.outputs_of(id) {
+                    let want = value_bits(reference.probe(id, p));
                     for lane in 0..batch.lanes() {
                         assert_eq!(
                             value_bits(batch.probe(lane, (id, p))),
@@ -235,11 +386,11 @@ fn batched_param_overrides_diverge_single_lanes_only() {
         let b = dd.add("g2", Gain::new(1.5)).unwrap();
         dd.connect((s, 0), (a, 0)).unwrap();
         dd.connect((a, 0), (b, 0)).unwrap();
-        let mut e = Engine::with_backend(dd, 1e-3, Backend::Interpreted).unwrap();
+        let mut r = RefInterp::new(dd, 1e-3).unwrap();
         (0..200)
             .map(|_| {
-                e.step().unwrap();
-                value_bits(e.probe((BlockId::from_index(2), 0)))
+                r.step();
+                value_bits(r.probe(b, 0))
             })
             .collect()
     };

@@ -12,8 +12,8 @@
 //!   through one shared [`peert_model::BatchEngine`] — many tenants,
 //!   one compiled plan, SoA lanes — with per-lane
 //!   [`LaneOverride`] divergence for parameter sweeps and Monte-Carlo
-//!   campaigns. Diagrams that don't lower fall back to solo
-//!   interpreter lanes;
+//!   campaigns. Diagrams whose tape needs a trampoline entry
+//!   (a block without a kernel lowering) run as solo engines;
 //! * **scheduling**: shard worker threads (std `mpsc` channels, no
 //!   async runtime) advance each gang one quantum of steps per round,
 //!   highest priority first, so a long session can't starve the rest

@@ -106,7 +106,7 @@ impl Shared {
 /// Public so deterministic drivers (the soak test) can derive the
 /// expected schedule: the key is the lowering digest when the diagram
 /// compiles (identical-plan sessions therefore always share a shard),
-/// or a block-type hash for interpreter-fallback diagrams.
+/// or a block-type hash for diagrams that run as solo engines.
 pub fn route_shard(diagram: &Diagram, dt: f64, shards: usize) -> usize {
     (route_key(diagram, dt) % shards.max(1) as u64) as usize
 }
@@ -369,8 +369,8 @@ fn validate(spec: &SessionSpec) -> Result<(), Reject> {
     if spec.steps == 0 {
         return Err(Reject::Invalid("step budget is zero".into()));
     }
-    if spec.dt.is_nan() || spec.dt <= 0.0 {
-        return Err(Reject::Invalid(format!("dt {} is not positive", spec.dt)));
+    if !spec.dt.is_finite() || spec.dt <= 0.0 {
+        return Err(Reject::Invalid(format!("dt {} is not positive and finite", spec.dt)));
     }
     if let Err(e) = spec.diagram.sorted_order() {
         return Err(Reject::Invalid(format!("diagram does not schedule: {e:?}")));

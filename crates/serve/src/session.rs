@@ -150,9 +150,9 @@ pub enum Reject {
     /// The spec itself is unusable (zero budget, bad dt, cyclic
     /// diagram, out-of-range probe, …).
     Invalid(String),
-    /// Overrides require the compiled batch path, but the diagram does
-    /// not lower (it would run on the solo interpreter fallback where
-    /// per-lane overrides don't exist).
+    /// Overrides require the batch path, but the diagram does not lower
+    /// fully (it would run as a solo engine, where per-lane overrides
+    /// don't exist).
     OverridesUnsupported(String),
     /// The session cannot finish inside its wall-clock deadline
     /// budget: `steps × p99(step latency)` on the routed shard already

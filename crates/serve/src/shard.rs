@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use peert_model::graph::Source;
-use peert_model::{lock, Backend, BatchEngine, DiagramFingerprint, Engine, Value};
+use peert_model::{lock, BatchEngine, DiagramFingerprint, Engine, Value};
 
 use crate::server::Shared;
 use crate::session::{LaneOverride, SessionEvent, SessionOutcome, SessionTask};
@@ -79,7 +79,8 @@ impl Gang {
     }
 }
 
-/// An interpreter-fallback session (unlowerable diagram).
+/// A session whose tape has trampoline entries, so it cannot share a
+/// batch: it steps its own engine.
 struct Solo {
     engine: Engine,
     lane: Lane,
@@ -172,7 +173,7 @@ fn absorb(
 /// Group the drained backlog into gangs: stable-sort by (priority,
 /// arrival), bucket by (priority, lowering digest, fingerprint) in
 /// first-seen order, then cut each bucket into `max_lanes`-wide gangs.
-/// Unlowerable sessions become solo interpreter lanes.
+/// Sessions that cannot batch become solo engines.
 fn form_gangs(
     shard: usize,
     shared: &Arc<Shared>,
@@ -286,7 +287,7 @@ fn start_solo(task: SessionTask, shard: usize, shared: &Arc<Shared>, solos: &mut
         st.solo_sessions += 1;
     }
     lock(&shared.counters).solo_sessions += 1;
-    match Engine::with_backend(diagram, dt, Backend::Interpreted) {
+    match Engine::new(diagram, dt) {
         Ok(engine) => solos.push(Solo { engine, lane, priority, seq }),
         Err(e) => lane.finish(SessionOutcome::Failed(format!("engine: {e:?}")), shared),
     }

@@ -36,7 +36,7 @@ json_struct! {
         /// Session lanes that shared a batch with at least one other
         /// session (the coalescing win).
         pub coalesced_lanes: u64,
-        /// Sessions that ran on the solo interpreter fallback.
+        /// Sessions that ran as solo engines (diagrams that cannot batch).
         pub solo_sessions: u64,
         /// Generic jobs executed (experiment sweeps).
         pub jobs: u64,
@@ -73,7 +73,7 @@ json_struct! {
         /// Batches narrowed via lane checkpoint/transplant after enough
         /// lanes finished.
         pub compactions: u64,
-        /// Solo (interpreter-fallback) sessions this shard ran.
+        /// Solo-engine sessions this shard ran.
         pub solo_sessions: u64,
         /// Plan-cache hits attributable to this shard's lookups.
         pub cache_hits: u64,

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use peert_model::library::{Gain, SineWave};
-use peert_model::{Backend, Block, BlockCtx, Diagram, Engine, PortCount, Value};
+use peert_model::{Block, BlockCtx, Diagram, Engine, PortCount, Value};
 use peert_trace::{JsonValue, ToJson};
 
 use crate::server::{route_shard, ServeConfig, Server};
@@ -26,7 +26,7 @@ fn chain(gain: f64) -> Diagram {
 }
 
 /// A block the kernel cannot lower (default `lower()` → `None`), so
-/// any diagram containing it runs on the interpreter fallback.
+/// any diagram containing it gets a trampoline entry and runs solo.
 struct Opaque;
 
 impl Block for Opaque {
@@ -54,7 +54,7 @@ fn opaque_chain() -> Diagram {
 /// step — the reference the served trajectories must match bit-for-bit.
 fn reference(diagram: Diagram, steps: u64) -> Vec<Value> {
     let probes = crate::session::all_ports(&diagram);
-    let mut e = Engine::with_backend(diagram, DT, Backend::Interpreted).unwrap();
+    let mut e = Engine::new(diagram, DT).unwrap();
     let mut out = Vec::new();
     for _ in 0..steps {
         e.step().unwrap();
@@ -179,7 +179,7 @@ fn invalid_specs_reject_with_reason() {
 }
 
 #[test]
-fn unlowerable_diagram_runs_solo_and_matches_interpreter() {
+fn unlowerable_diagram_runs_solo_and_matches_the_reference() {
     let server = Server::start(small_config());
     let spec = SessionSpec::new("t", opaque_chain(), DT, 64).probe_all();
     let h = server.submit(spec).unwrap();
@@ -188,7 +188,8 @@ fn unlowerable_diagram_runs_solo_and_matches_interpreter() {
     assert_eq!(r.trajectory, reference(opaque_chain(), 64));
     let stats = server.shutdown();
     assert_eq!(stats.counters.solo_sessions, 1);
-    // the interpreter fallback never touches the plan cache
+    // a solo engine compiles through the process-wide plan cache, not
+    // the server's
     assert_eq!(stats.plan_cache.misses, 0);
 }
 

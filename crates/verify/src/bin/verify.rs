@@ -77,7 +77,7 @@ fn main() {
             );
             let cache = peert_model::global_cache_stats();
             println!(
-                "  kernel: {} cases bit-exact (interpreted = compiled = {} batched lanes); \
+                "  kernel: {} cases bit-exact (interpreter = compiled = {} batched lanes); \
                  plan cache {} hit(s) / {} miss(es), {} resident",
                 report.kernel_cases,
                 peert_verify::KERNEL_LANES,

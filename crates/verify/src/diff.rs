@@ -2,9 +2,10 @@
 //!
 //! Three comparisons, in increasing pipeline depth:
 //!
-//! 1. [`run_mil_case`] — the precompiled-plan engine vs the naive
+//! 1. [`run_mil_case`] — the engine's kernel tape vs the naive
 //!    reference interpreter on the same spec, **bit-exact** on every
-//!    output port of every block at every step.
+//!    output port of every block at every step ([`run_kernel_case`]
+//!    adds the batched lanes).
 //! 2. [`run_pil_case`] — MIL vs the MIL→codegen→PIL lockstep pipeline.
 //!    The wire carries Q1.15 samples, so the oracle is two-sided: the
 //!    actuation stream must be *bit-exact* against a host-side quantized
@@ -25,7 +26,7 @@ use peert_codegen::{generate_controller, CodegenOptions, TaskImage, TlcRegistry}
 use peert_mcu::McuSpec;
 use peert_model::block::step_block;
 use peert_model::signal::Value;
-use peert_model::{Backend, BatchEngine, Engine};
+use peert_model::{BatchEngine, Engine};
 use peert_pil::packet::{from_sample, to_sample};
 use peert_pil::{ArqConfig, FaultSchedule, LinkKind, PilConfig, PilSession};
 
@@ -78,21 +79,20 @@ pub fn run_mil_case(
     Ok(())
 }
 
-/// The "kernel" differential: the interpreted engine, the compiled
-/// fused-kernel engine and a `lanes`-wide [`BatchEngine`] all step the
-/// same spec in lockstep, and every output port of every block must be
+/// The "kernel" differential: the reference interpreter, the engine's
+/// kernel tape and a `lanes`-wide [`BatchEngine`] all step the same
+/// spec in lockstep, and every output port of every block must be
 /// bit-identical across all three at every step (each batch lane
-/// individually). Also demands the compiled engine actually lowered
-/// (no silent interpreter fallback) and that its per-step block-eval
-/// accounting equals the interpreter's.
+/// individually). Also demands the tape lowered every block (zero
+/// trampoline entries) and that the engine's block-eval accounting
+/// equals the interpreter's.
 pub fn run_kernel_case(spec: &DiagramSpec, steps: u64, lanes: usize) -> Result<(), String> {
-    let mut interp = Engine::with_backend(spec.build()?, spec.dt, Backend::Interpreted)
-        .map_err(|e| format!("{e:?}"))?;
+    let mut interp = RefInterp::new(spec.build()?, spec.dt)?;
     let mut comp = Engine::new(spec.build()?, spec.dt).map_err(|e| format!("{e:?}"))?;
-    if comp.backend() != Backend::Compiled {
+    let trampolines = comp.compiled_plan().trampolines();
+    if trampolines != 0 {
         return Err(format!(
-            "generated diagram did not lower to the kernel tape: {}",
-            comp.fallback_reason().unwrap_or("no reason recorded")
+            "generated diagram did not lower to kernels: {trampolines} trampoline entries"
         ));
     }
     let batch_d = spec.build()?;
@@ -101,12 +101,12 @@ pub fn run_kernel_case(spec: &DiagramSpec, steps: u64, lanes: usize) -> Result<(
     let mut batch =
         BatchEngine::new(&batch_d, spec.dt, lanes).map_err(|e| format!("batch: {e:?}"))?;
     for step in 0..steps {
-        interp.step().map_err(|e| format!("interpreter step {step}: {e:?}"))?;
+        interp.step();
         comp.step().map_err(|e| format!("compiled step {step}: {e:?}"))?;
         batch.step();
         for (i, &id) in ids.iter().enumerate() {
             for port in 0..ports[i] {
-                let iv = interp.probe((id, port));
+                let iv = interp.probe(id, port);
                 let cv = comp.probe((id, port));
                 if value_bits(cv) != value_bits(iv) {
                     return Err(format!(
@@ -128,10 +128,10 @@ pub fn run_kernel_case(spec: &DiagramSpec, steps: u64, lanes: usize) -> Result<(
             }
         }
     }
-    if interp.block_evals() != comp.block_evals() {
+    if interp.evals() != comp.block_evals() {
         return Err(format!(
             "block-eval accounting diverged: interpreter {} != compiled {}",
-            interp.block_evals(),
+            interp.evals(),
             comp.block_evals()
         ));
     }
@@ -354,7 +354,7 @@ fn host_reference(
 
 /// The MIL ↔ codegen ↔ PIL three-way check on a clean line.
 pub fn run_pil_case(case: &ControllerCase, mcu: &McuSpec) -> Result<PilCaseReport, String> {
-    // leg 1: interpreted vs plan on the flat MIL diagram
+    // leg 1: reference interpreter vs kernel tape on the flat MIL diagram
     run_mil_case(&case.mil_spec(), case.steps, None)?;
     // leg 2: regenerating the C source is bit-reproducible
     check_codegen_determinism(case)?;

@@ -3,7 +3,7 @@
 //! Two generators share the grammar in [`crate::spec`]:
 //!
 //! * [`gen_mil_spec`] emits an arbitrary multirate diagram over the full
-//!   block library, for the interpreted-vs-plan differential test. Wires
+//!   block library, for the engine-vs-interpreter differential tests. Wires
 //!   into feedthrough blocks only run *forward* (lower index → higher),
 //!   so every diagram is acyclic by construction; wires into state
 //!   blocks (`UnitDelay`, `DiscreteIntegrator`) may point anywhere,

@@ -1,12 +1,14 @@
 //! Straight-line reference interpreter.
 //!
-//! A second, independent implementation of the engine's step semantics,
+//! The one independent implementation of the engine's step semantics,
 //! written for obviousness rather than speed: no precompiled plan, no
-//! flat arena, no scratch reuse — just "walk the sorted order, gather
-//! inputs through the wire map, run output then update". The
-//! differential runner executes a generated diagram through both this
-//! interpreter and [`peert_model::Engine`] and demands bit-identical
-//! values on every output port of every block at every step.
+//! kernel tape, no flat arena, no scratch reuse — just "walk the sorted
+//! order, gather inputs through the wire map, run output then update"
+//! on the block instances themselves. The differential runners execute
+//! a diagram through both this interpreter and [`peert_model::Engine`]
+//! (and its batched lanes) and demand bit-identical values on every
+//! output port of every block at every step, and equal block-eval
+//! counts.
 
 use peert_model::block::BlockCtx;
 use peert_model::graph::{BlockId, Diagram};
@@ -26,8 +28,8 @@ enum Sched {
         /// Offset in steps.
         offset: u64,
     },
-    /// Triggered blocks never run on the major clock (the generator
-    /// never emits them, but the schedule is mirrored for completeness).
+    /// Triggered blocks never run on the major clock; only
+    /// [`RefInterp::fire`] runs them.
     Never,
 }
 
@@ -64,6 +66,7 @@ pub struct RefInterp {
     step_index: u64,
     t: f64,
     dt: f64,
+    evals: u64,
 }
 
 impl RefInterp {
@@ -79,7 +82,7 @@ impl RefInterp {
             .ids()
             .map(|id| vec![Value::default(); diagram.block(id).ports().outputs])
             .collect();
-        Ok(RefInterp { diagram, order, sched, values, step_index: 0, t: 0.0, dt })
+        Ok(RefInterp { diagram, order, sched, values, step_index: 0, t: 0.0, dt, evals: 0 })
     }
 
     fn gather(&self, id: BlockId) -> Vec<Value> {
@@ -95,6 +98,7 @@ impl RefInterp {
     }
 
     fn exec(&mut self, id: BlockId, output_phase: bool) {
+        self.evals += 1;
         let ins = self.gather(id);
         let mut outs = std::mem::take(&mut self.values[id.index()]);
         let mut events = Vec::new();
@@ -125,6 +129,20 @@ impl RefInterp {
         }
         self.step_index += 1;
         self.t = self.step_index as f64 * self.dt;
+    }
+
+    /// Dispatch one function call into block `id` at the current time:
+    /// its output, then its update. Events the block emits are not
+    /// followed (the generated diagrams have no event ports).
+    pub fn fire(&mut self, id: BlockId) {
+        self.exec(id, true);
+        self.exec(id, false);
+    }
+
+    /// Block phase executions so far (output and update of every due
+    /// block, two per [`RefInterp::fire`]) — the engine's `block_evals`.
+    pub fn evals(&self) -> u64 {
+        self.evals
     }
 
     /// Read output port `port` of block `id` (latest computed value).

@@ -1,17 +1,19 @@
 //! # peert-verify — differential & property verification harness
 //!
 //! The repo has three ways to execute the same control diagram: the
-//! naive interpreted walk, the precompiled execution plan inside
-//! [`peert_model::Engine`], and the MIL→codegen→PIL lockstep pipeline.
+//! naive reference interpreter ([`interp::RefInterp`]), the kernel tape
+//! inside [`peert_model::Engine`] (and its batched lanes), and the
+//! MIL→codegen→PIL lockstep pipeline.
 //! They are supposed to agree. This crate generates random diagrams
 //! from a seed and checks that they *do* agree:
 //!
 //! * **MIL differential** ([`diff::run_mil_case`]): engine vs reference
 //!   interpreter, bit-exact on every output port of every block at
 //!   every step, plus a byte-for-byte `reset()` determinism check.
-//! * **Kernel differential** ([`diff::run_kernel_case`]): the compiled
-//!   fused-kernel tape and every lane of the batched SoA engine vs the
-//!   interpreted engine, bit-exact on every port at every step.
+//! * **Kernel differential** ([`diff::run_kernel_case`]): the kernel
+//!   tape (with zero trampoline entries) and every lane of the batched
+//!   SoA engine vs the reference interpreter, bit-exact on every port at
+//!   every step, with equal block-eval counts.
 //! * **PIL three-way** ([`diff::run_pil_case`]): the controller through
 //!   the full pipeline. Bit-exact against a host-side quantized replica
 //!   of the board; within a propagated quantization tolerance of the
@@ -49,8 +51,8 @@ use peert_pil::{ArqConfig, FaultSchedule};
 pub struct SuiteReport {
     /// MIL differential cases that passed (engine ≡ interpreter).
     pub mil_cases: u64,
-    /// Kernel differential cases that passed (interpreted ≡ compiled ≡
-    /// every batched lane, bit-exact).
+    /// Kernel differential cases that passed (reference interpreter ≡
+    /// kernel tape ≡ every batched lane, bit-exact).
     pub kernel_cases: u64,
     /// PIL three-way cases that passed.
     pub pil_cases: u64,
@@ -197,8 +199,8 @@ pub const MIL_STEPS: u64 = 40;
 pub const KERNEL_LANES: usize = 4;
 
 /// Run the whole suite: `cases` MIL differential cases (with reset
-/// checks), `cases.max(64)` kernel differential cases (interpreted vs
-/// compiled vs batched lanes), `cases` PIL three-way cases, one deterministic
+/// checks), `cases.max(64)` kernel differential cases (reference
+/// interpreter vs kernel tape vs batched lanes), `cases` PIL three-way cases, one deterministic
 /// fault-schedule replay, `cases` ARQ bit-exact recovery proofs under
 /// seeded under-budget schedules, and one over-budget degradation
 /// replay. On failure the offending spec is shrunk (when `do_shrink`)
@@ -218,9 +220,9 @@ pub fn run_suite(seed: u64, cases: u64, do_shrink: bool) -> Result<SuiteReport, 
         report.mil_cases += 1;
     }
 
-    // kernel phase: the compiled fused-kernel tape and the batched SoA
-    // engine versus the interpreter, bit-exact on every port at every
-    // step, over at least 64 generated diagrams
+    // kernel phase: the kernel tape and the batched SoA engine versus
+    // the reference interpreter, bit-exact on every port at every step,
+    // over at least 64 generated diagrams
     let kernel_cases = cases.max(64);
     for case in 0..kernel_cases {
         let spec = gen::gen_mil_spec(seed, case);

@@ -21,6 +21,7 @@
 //!   the expected rule IDs.
 
 use crate::diff::value_bits;
+use crate::interp::RefInterp;
 use crate::spec::DiagramSpec;
 use peert_lint::{
     lint_sched, rules, CheckedGenerateError, FormatSpec, LintConfig, LintOptions, SchedSpec,
@@ -123,24 +124,21 @@ pub fn run_lint_case(spec: &DiagramSpec, steps: u64) -> Result<LintCaseReport, S
 
 /// Compile `spec` with lint's dead set pruned from the kernel tape
 /// (`Engine::compiled_pruned`) and demand every *live* block's output
-/// trajectory is bit-identical to the interpreted engine's, with the
+/// trajectory is bit-identical to the reference interpreter's, with the
 /// tape exactly `dead.len()` instructions shorter than the unpruned
 /// compile.
 fn check_pruned_tape(spec: &DiagramSpec, dead: &[usize], steps: u64) -> Result<(), String> {
     let d_ref = spec.build()?;
     let ids: Vec<_> = d_ref.ids().collect();
     let ports: Vec<usize> = ids.iter().map(|&id| d_ref.block(id).ports().outputs).collect();
-    let mut reference = Engine::with_backend(d_ref, spec.dt, peert_model::Backend::Interpreted)
-        .map_err(|e| format!("{e:?}"))?;
+    let mut reference = RefInterp::new(d_ref, spec.dt)?;
     let mut pruned = Engine::compiled_pruned(spec.build()?, spec.dt, dead)
         .map_err(|e| format!("pruned compile: {e:?}"))?;
 
     let full = Engine::compiled_pruned(spec.build()?, spec.dt, &[])
         .map_err(|e| format!("full compile: {e:?}"))?;
-    let (full_len, pruned_len) = (
-        full.compiled_plan().expect("compiled").tape_len(),
-        pruned.compiled_plan().expect("compiled").tape_len(),
-    );
+    let (full_len, pruned_len) =
+        (full.compiled_plan().tape_len(), pruned.compiled_plan().tape_len());
     if pruned_len + dead.len() != full_len {
         return Err(format!(
             "pruning {} dead block(s) shrank the tape {} -> {} (expected {})",
@@ -152,14 +150,14 @@ fn check_pruned_tape(spec: &DiagramSpec, dead: &[usize], steps: u64) -> Result<(
     }
 
     for step in 0..steps {
-        reference.step().map_err(|e| format!("reference step {step}: {e:?}"))?;
+        reference.step();
         pruned.step().map_err(|e| format!("pruned step {step}: {e:?}"))?;
         for (i, &id) in ids.iter().enumerate() {
             if dead.contains(&i) {
                 continue;
             }
             for port in 0..ports[i] {
-                let rv = reference.probe((id, port));
+                let rv = reference.probe(id, port);
                 let pv = pruned.probe((id, port));
                 if value_bits(rv) != value_bits(pv) {
                     return Err(format!(

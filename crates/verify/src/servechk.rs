@@ -1,6 +1,6 @@
 //! Serve phase: seeded multi-tenant schedules through `peert-serve`,
-//! every batched-lane trajectory proved bit-exact against a solo
-//! interpreted [`Engine`] run of the same (possibly overridden) spec.
+//! every batched-lane trajectory proved bit-exact against a
+//! [`RefInterp`] run of the same (possibly overridden) spec.
 //!
 //! Each schedule builds a few generated diagrams, submits several
 //! sessions per diagram (random tenants, priorities and per-lane `Gain`
@@ -10,11 +10,12 @@
 //! session per schedule may be cancelled mid-run: its trajectory must
 //! be an exact prefix of the reference.
 
-use peert_model::{Backend, Engine, Value};
+use peert_model::Value;
 use peert_serve::{LaneOverride, Reject, ServeConfig, Server, SessionOutcome, SessionSpec};
 
 use crate::diff::value_bits;
 use crate::gen;
+use crate::interp::RefInterp;
 use crate::rng::Rng;
 use crate::spec::{BlockSpec, DiagramSpec};
 use crate::MIL_STEPS;
@@ -32,19 +33,18 @@ pub struct ScheduleReport {
 
 const JOIN: std::time::Duration = std::time::Duration::from_secs(60);
 
-/// Reference trajectory: a solo interpreted engine over every output
+/// Reference trajectory: the reference interpreter over every output
 /// port of every block, probed after each step — exactly what a served
 /// session with `probe_all` streams back.
 fn reference(spec: &DiagramSpec, steps: u64) -> Result<Vec<Value>, String> {
     let diagram = spec.build()?;
     let probes = peert_serve::all_ports(&diagram);
-    let mut e = Engine::with_backend(diagram, spec.dt, Backend::Interpreted)
-        .map_err(|e| format!("reference engine: {e:?}"))?;
+    let mut interp = RefInterp::new(diagram, spec.dt)?;
     let mut out = Vec::with_capacity((steps as usize) * probes.len());
-    for step in 0..steps {
-        e.step().map_err(|e| format!("reference step {step}: {e:?}"))?;
-        for &p in &probes {
-            out.push(e.probe(p));
+    for _ in 0..steps {
+        interp.step();
+        for &(id, port) in &probes {
+            out.push(interp.probe(id, port));
         }
     }
     Ok(out)

@@ -513,6 +513,62 @@ mod tests {
         wire.shutdown();
     }
 
+    /// Submit `diagram` to a fresh 1-shard server over the wire: it must
+    /// be answered `Reject::Invalid`, leave the daemon's counters exactly
+    /// as the same submission leaves them in-process, and the same
+    /// connection must then complete a healthy session.
+    fn rejected_invalid_then_healthy(diagram: DiagramSpec) {
+        let config = ServeConfig { shards: 1, ..ServeConfig::default() };
+        let local = Server::start(config.clone());
+        // a spec that does not build never reaches Server::submit
+        if let Ok(d) = diagram.build() {
+            let spec = SessionSpec::new("t", d, diagram.dt, 10);
+            assert!(matches!(local.submit(spec), Err(Reject::Invalid(_))), "in-process admits it");
+        }
+        let want = local.shutdown().counters;
+
+        let server = Arc::new(Server::start(config));
+        let wire = WireServer::start(Arc::clone(&server), "127.0.0.1:0").unwrap();
+        let mut client = WireClient::connect(wire.local_addr()).unwrap();
+        match client.submit(WireSpec::new("t", diagram, 10)) {
+            Err(WireError::Rejected(Reject::Invalid(_))) => {}
+            Err(e) => panic!("expected Reject::Invalid, got {e}"),
+            Ok(_) => panic!("expected Reject::Invalid, the session was accepted"),
+        }
+        assert_eq!(server.stats().counters, want, "counters as the in-process path leaves them");
+        let mut healthy = WireSpec::new("t", constant_gain(), 4);
+        healthy.probes = vec![(1, 0)];
+        let result = client.submit(healthy).unwrap().join();
+        assert_eq!(result.outcome, SessionOutcome::Completed);
+        assert_eq!(result.trajectory, vec![Value::F64(2.0); 4]);
+        client.close();
+        wire.shutdown();
+    }
+
+    fn one_block(block: BlockSpec, dt: f64) -> DiagramSpec {
+        DiagramSpec {
+            dt,
+            blocks: vec![BlockSpec::Sine { amplitude: 1.0, freq_hz: 5.0 }, block],
+            wires: vec![(0, 0, 1, 0)],
+        }
+    }
+
+    #[test]
+    fn an_empty_saturation_interval_is_rejected_on_a_live_connection() {
+        rejected_invalid_then_healthy(one_block(BlockSpec::Saturation { lo: 1.0, hi: 0.0 }, 1e-3));
+    }
+
+    #[test]
+    fn a_negative_rate_limiter_is_rejected_before_it_reaches_a_shard() {
+        rejected_invalid_then_healthy(one_block(BlockSpec::RateLimiter { rate: -1.0 }, 1e-3));
+    }
+
+    #[test]
+    fn an_infinite_dt_is_rejected_before_it_reaches_a_shard() {
+        let spec = one_block(BlockSpec::RateLimiter { rate: 0.0 }, f64::INFINITY);
+        rejected_invalid_then_healthy(spec);
+    }
+
     #[test]
     fn finished_session_threads_are_not_retained() {
         let server = Arc::new(Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }));

@@ -34,15 +34,16 @@ run cargo test -q --workspace --offline
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo bench --no-run --workspace --offline
 # the trace-overhead bench must always stay compilable (acceptance gate on
-# the disabled-tracer cost), including under the peert-trace `off` feature
+# the disabled-tracer cost of the tape's step loop), including under the
+# peert-trace `off` feature
 run cargo bench --no-run --bench trace_overhead -p peert-bench --offline
-# same for the kernel-vs-interpreter bench (acceptance gate on the
-# compiled backend's speedup, recorded in BENCH_kernel.json)
-run cargo bench --no-run --bench kernel_vs_interp -p peert-bench --offline
+# same for the one-engine-vs-batched-lanes bench (acceptance gate on the
+# per-lane cost of the kernel tape, recorded in BENCH_kernel.json)
+run cargo bench --no-run --bench kernel_batch_vs_solo -p peert-bench --offline
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# cheap perf smoke: over 2k steps the compiled kernel backend must not
-# be slower than the interpreter (the full numbers are E16)
+# cheap perf smoke: over 2k steps of the 400-block chain a batched lane
+# must not be slower than one engine (the full numbers are E16)
 run env KERNEL_SMOKE=1 cargo test --release -q -p peert-bench --test kernel_smoke --offline
 
 # asserted integration runs: the paper's example walkthroughs carry
@@ -147,8 +148,8 @@ RULES
 run cmp /tmp/peert-lint-rules.txt /tmp/peert-lint-rules-pinned.txt
 rm -f /tmp/peert-lint-rules.txt /tmp/peert-lint-rules-pinned.txt
 
-# differential verification suite: interpreted ≡ plan (bit-exact),
-# compiled kernel tape ≡ interpreter ≡ every batched lane (bit-exact),
+# differential verification suite: kernel tape ≡ reference interpreter
+# (bit-exact), kernel tape ≡ interpreter ≡ every batched lane (bit-exact),
 # PIL within the *certified* quantization tolerance (the lint's
 # ErrorCertificate, not a hand-derived bound), fault counters equal to
 # the schedule, ARQ recovery proofs under seeded fault schedules,
