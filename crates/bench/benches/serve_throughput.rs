@@ -1,5 +1,5 @@
 //! Serving-layer throughput: 8 same-fingerprint sessions of the PR-1
-//! 400-block chain, coalesced into one shared batch engine vs forced
+//! 400-block chain, coalesced into one shared 8-lane engine vs forced
 //! one-engine-per-session (`max_lanes = 1`). The recorded numbers live
 //! in BENCH_serve.json (E17); this bench is the interactive/CI view of
 //! the same comparison, timing the whole submit → resume → join cycle

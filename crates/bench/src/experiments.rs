@@ -844,17 +844,17 @@ json_struct! {
 /// Lanes the E16 batched configuration steps together.
 pub const E16_LANES: usize = 8;
 
-/// E16 — the kernel tape on the PR-1 400-block chain, one instance on
-/// [`peert_model::Engine`] vs [`E16_LANES`] instances over
-/// [`peert_model::BatchEngine`]'s SoA lanes. The two configurations are
-/// interleaved and the per-configuration minimum kept, as in E12.
+/// E16 — the kernel tape on the PR-1 400-block chain, one instance on a
+/// one-lane [`peert_model::Engine`] vs [`E16_LANES`] instances over the
+/// SoA lanes of one [`peert_model::Engine::with_lanes`]. The two
+/// configurations are interleaved and the per-configuration minimum
+/// kept, as in E12.
 pub fn e16_kernel(steps: u64) -> Vec<E16Row> {
-    use peert_model::{BatchEngine, Engine};
+    use peert_model::Engine;
 
     let mut comp = Engine::new(ablation_chain(), 1e-3).unwrap();
     assert_eq!(comp.compiled_plan().trampolines(), 0, "every chain block lowers");
-    let batch_d = ablation_chain();
-    let mut batch = BatchEngine::new(&batch_d, 1e-3, E16_LANES).unwrap();
+    let mut batch = Engine::with_lanes(ablation_chain(), 1e-3, E16_LANES, None).unwrap();
 
     let engine_chunk = |e: &mut Engine, n: u64| {
         let t0 = std::time::Instant::now();
@@ -863,10 +863,10 @@ pub fn e16_kernel(steps: u64) -> Vec<E16Row> {
         }
         t0.elapsed().as_nanos() as f64 / n as f64
     };
-    let batch_chunk = |b: &mut BatchEngine, n: u64| {
+    let batch_chunk = |b: &mut Engine, n: u64| {
         let t0 = std::time::Instant::now();
         for _ in 0..n {
-            b.step();
+            b.step().unwrap();
         }
         t0.elapsed().as_nanos() as f64 / n as f64 / E16_LANES as f64
     };
@@ -892,7 +892,7 @@ json_struct! {
     /// One serving configuration pushing the same session load (E17).
     #[derive(Clone, Debug)]
     pub struct E17Row {
-        /// Serving mode: "coalesced" (all sessions share one batch engine)
+        /// Serving mode: "coalesced" (all sessions share one 8-lane engine)
         /// or "one-engine-per-session" (`max_lanes = 1` forces a private
         /// engine per session — the pre-serve baseline).
         pub mode: String,
@@ -963,8 +963,8 @@ fn e17_case(mode: &str, max_lanes: usize, steps: u64) -> E17Row {
 }
 
 /// E17 — serving-layer throughput: [`E17_SESSIONS`] same-fingerprint
-/// sessions of the 400-block chain, coalesced into one shared
-/// [`peert_model::BatchEngine`] vs forced one-engine-per-session.
+/// sessions of the 400-block chain, coalesced into one 8-lane
+/// [`peert_model::Engine`] vs forced one-engine-per-session.
 /// Both modes run one shard with a warm plan cache, so the ratio
 /// isolates the coalescing win itself (BENCH_serve.json records it).
 pub fn e17_serve(steps: u64) -> Vec<E17Row> {

@@ -1,6 +1,6 @@
 //! CI perf smoke for batched lanes: over a cheap 2k-step run of the
-//! 400-block chain, one `BatchEngine` lane must not cost more per step
-//! than a single-lane `Engine`. Gated on `KERNEL_SMOKE=1` (wall-clock
+//! 400-block chain, one lane of an 8-lane `Engine` must not cost more
+//! per step than a one-lane `Engine`. Gated on `KERNEL_SMOKE=1` (wall-clock
 //! compares are meaningless under an unloaded-machine assumption, so CI
 //! opts in explicitly; the honest numbers live in BENCH_kernel.json /
 //! E16).
@@ -10,7 +10,7 @@ use std::time::Instant;
 use peert_model::graph::Diagram;
 use peert_model::library::math::Gain;
 use peert_model::library::sources::SineWave;
-use peert_model::{BatchEngine, Engine};
+use peert_model::Engine;
 
 const LANES: usize = 8;
 
@@ -42,9 +42,9 @@ fn batched_lane_is_not_slower_than_one_engine() {
     }
     const STEPS: u64 = 2_000;
     let mut solo = Engine::new(chain(400), 1e-3).unwrap();
-    let mut batch = BatchEngine::new(&chain(400), 1e-3, LANES).unwrap();
+    let mut batch = Engine::with_lanes(chain(400), 1e-3, LANES, None).unwrap();
     let mut solo_step = || solo.step().unwrap();
-    let mut batch_step = || batch.step();
+    let mut batch_step = || batch.step().unwrap();
     // warmup, then interleaved rounds keeping the per-engine minimum so
     // transient load hits both configurations equally
     time_steps(STEPS / 4, &mut solo_step);

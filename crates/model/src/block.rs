@@ -181,7 +181,7 @@ pub trait Block: Send {
     /// the block gets a trampoline entry that calls this instance's
     /// `output`/`update`. Lowering is a crate-internal optimization of
     /// the built-in library — external blocks keep the default and lose
-    /// nothing but speed (and [`crate::BatchEngine`] lanes).
+    /// nothing but speed (and a multi-lane [`crate::Engine`]).
     fn lower(&self) -> Option<crate::kernel::KernelSpec> {
         None
     }

@@ -17,13 +17,21 @@
 //! trampoline gathers its inputs into one reused buffer, outputs land in
 //! the tape's flat value arena, and discrete sample hits are integer
 //! comparisons against precomputed rate buckets.
+//!
+//! The lane count is fixed when the engine is built. [`Engine::new`]
+//! steps one instance; [`Engine::with_lanes`] steps N instances of the
+//! same tape over structure-of-arrays lanes, each tape entry decoded
+//! once per step and run across every lane. Lanes diverge through
+//! [`Engine::set_param`] and [`Engine::set_const`], read through
+//! [`Engine::probe_lane`], and drop out in place through
+//! [`Engine::retain_lanes`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::block::{Block, BlockCtx};
 use crate::graph::{BlockId, Diagram, GraphError, Source};
-use crate::kernel::{CompiledPlan, KInstr, KernelRuntime, PlanCache};
+use crate::kernel::{global_cache, CompiledPlan, KInstr, KernelRuntime, PlanCache};
 use crate::plan::{ExecutionPlan, NO_EVENT_TARGET};
 use crate::signal::Value;
 use peert_trace::{ClockDomain, EventId, Tracer};
@@ -39,9 +47,10 @@ pub enum SimError {
         /// The step's time.
         t: f64,
     },
-    /// [`crate::kernel::BatchEngine`] refused a diagram whose tape needs
-    /// a trampoline entry: lanes share one tape and have no block
-    /// instances of their own. [`Engine`] never returns this.
+    /// [`Engine::with_lanes`] refused a diagram whose tape needs a
+    /// trampoline entry: a trampoline calls the engine's one instance of
+    /// the block, which lanes cannot share. Only a request for more than
+    /// one lane returns this.
     Kernel(crate::kernel::KernelError),
 }
 
@@ -254,12 +263,13 @@ impl Dispatch {
     }
 }
 
-/// The fixed-step engine.
+/// The fixed-step engine: one compiled tape stepped over a fixed number
+/// of lanes, with the diagram's block instances for trampoline entries.
 pub struct Engine {
     diagram: Diagram,
     /// The compiled tape, shared through the plan cache.
     tape: Arc<CompiledPlan>,
-    /// This engine's single-lane values arena and state/param pools.
+    /// The lanes' value arena and state/parameter/constant pools.
     rt: KernelRuntime,
     cache_hit: bool,
     dt: f64,
@@ -281,17 +291,53 @@ impl Engine {
     /// lowered block's parameters, so a structural or parameter change
     /// needs a new engine.
     pub fn new(diagram: Diagram, dt: f64) -> Result<Self, SimError> {
-        Self::with_cache(diagram, dt, &mut crate::lock(crate::kernel::global_cache()))
+        Self::with_cache(diagram, dt, &mut crate::lock(global_cache()))
     }
 
     /// [`Engine::new`] compiling through a caller-owned
     /// [`crate::kernel::PlanCache`] instead of the process-wide one —
     /// differential harnesses use this to assert exact hit/miss counts.
     pub fn with_cache(diagram: Diagram, dt: f64, cache: &mut PlanCache) -> Result<Self, SimError> {
+        Self::cached(diagram, dt, 1, true, cache)
+    }
+
+    /// Build an engine stepping `lanes` instances of `diagram` together
+    /// over structure-of-arrays lanes. The lanes start identical;
+    /// diverge them with [`Engine::set_param`] and [`Engine::set_const`].
+    ///
+    /// Compiles with const-folding off, so every parameter keeps its
+    /// tape target, through `cache` or, given `None`, the process-wide
+    /// cache. Lanes share the engine's one instance of each block, so
+    /// with more than one lane a diagram whose tape needs a trampoline
+    /// entry is refused with a [`SimError::Kernel`] naming the block.
+    pub fn with_lanes(
+        diagram: Diagram,
+        dt: f64,
+        lanes: usize,
+        cache: Option<&mut PlanCache>,
+    ) -> Result<Self, SimError> {
+        assert!(lanes >= 1, "an engine steps at least one lane");
+        match cache {
+            Some(cache) => Self::cached(diagram, dt, lanes, false, cache),
+            None => Self::cached(diagram, dt, lanes, false, &mut crate::lock(global_cache())),
+        }
+    }
+
+    /// Compile through `cache` (refusing trampolines unless `lanes` is
+    /// 1) and allocate the lanes.
+    fn cached(
+        diagram: Diagram,
+        dt: f64,
+        lanes: usize,
+        fold: bool,
+        cache: &mut PlanCache,
+    ) -> Result<Self, SimError> {
         assert!(dt > 0.0, "fundamental step must be positive");
         let order = diagram.sorted_order()?;
-        let (tape, cache_hit) = cache.get_or_compile(&diagram, &order, dt, true);
-        Ok(Self::from_tape(diagram, dt, tape, cache_hit))
+        let (tape, cache_hit) = cache
+            .get_or_compile(&diagram, &order, dt, fold, lanes == 1)
+            .map_err(SimError::Kernel)?;
+        Ok(Self::from_tape(diagram, dt, tape, cache_hit, lanes))
     }
 
     /// Build an engine whose tape omits the blocks listed in `dead`
@@ -302,11 +348,18 @@ impl Engine {
         assert!(dt > 0.0, "fundamental step must be positive");
         let order = diagram.sorted_order()?;
         let tape = crate::kernel::compile(&diagram, &order, dt, dead, true);
-        Ok(Self::from_tape(diagram, dt, Arc::new(tape), false))
+        Ok(Self::from_tape(diagram, dt, Arc::new(tape), false, 1))
     }
 
-    fn from_tape(diagram: Diagram, dt: f64, tape: Arc<CompiledPlan>, cache_hit: bool) -> Self {
-        let rt = KernelRuntime::new(&tape, 1);
+    fn from_tape(
+        diagram: Diagram,
+        dt: f64,
+        tape: Arc<CompiledPlan>,
+        cache_hit: bool,
+        lanes: usize,
+    ) -> Self {
+        debug_assert!(lanes == 1 || tape.trampolines == 0, "trampolines need a lane of their own");
+        let rt = KernelRuntime::new(&tape, lanes);
         let dispatch = Dispatch {
             inputs: Vec::with_capacity(tape.exec.max_inputs),
             events: Vec::with_capacity(tape.exec.max_events),
@@ -389,6 +442,11 @@ impl Engine {
         self.step_index
     }
 
+    /// Lanes stepping together.
+    pub fn lanes(&self) -> usize {
+        self.rt.lanes
+    }
+
     /// Total triggered-subsystem executions dispatched.
     pub fn triggered_execs(&self) -> u64 {
         self.dispatch.triggered_execs
@@ -421,13 +479,23 @@ impl Engine {
         &self.diagram
     }
 
-    /// Read the last value of output `src`.
+    /// Read the last value of output `src` on lane 0.
     ///
     /// Panics with a descriptive message if the block or port does not
     /// exist — a probe of a mis-built harness should fail loudly, not
     /// index arbitrary memory.
     pub fn probe(&self, src: Source) -> Value {
-        self.try_probe(src).unwrap_or_else(|e| panic!("{e}"))
+        self.probe_lane(0, src)
+    }
+
+    /// Read the last value of output `src` on `lane`. Panics like
+    /// [`Engine::probe`], and when the lane is out of range.
+    #[inline]
+    pub fn probe_lane(&self, lane: usize, src: Source) -> Value {
+        let lanes = self.rt.lanes;
+        assert!(lane < lanes, "probe: lane {lane} out of range ({lanes} lanes)");
+        let slot = self.slot(src).unwrap_or_else(|e| panic!("{e}"));
+        self.rt.values[slot * lanes + lane]
     }
 
     /// Non-panicking variant of [`Engine::probe`]: returns a
@@ -435,7 +503,12 @@ impl Engine {
     /// not exist, so differential harnesses can report bad probes as
     /// ordinary failures.
     pub fn try_probe(&self, src: Source) -> Result<Value, ProbeError> {
-        let (id, port) = src;
+        Ok(self.rt.values[self.slot(src)? * self.rt.lanes])
+    }
+
+    /// The arena slot of output `src`.
+    #[inline]
+    fn slot(&self, (id, port): Source) -> Result<usize, ProbeError> {
         let b = id.index();
         let exec = &self.tape.exec;
         if b >= exec.out_count.len() {
@@ -449,8 +522,40 @@ impl Engine {
                 port,
             });
         }
-        // lanes = 1, so an arena slot index is a value index
-        Ok(self.rt.values[exec.out_base[b] as usize + port])
+        Ok(exec.out_base[b] as usize + port)
+    }
+
+    /// Override parameter `index` of `block` on one lane (e.g. a `Gain`
+    /// gain, a `Saturation` bound — the lowering's parameter order).
+    ///
+    /// Refused, with the lane left as it was, when the lane is out of
+    /// range, the block has no live tape entry (const-folded by
+    /// [`Engine::new`], pruned, out of range), the index is past the
+    /// block's window or fixes its layout (a transfer function's
+    /// lengths, an integrator's has-limits flag), or the value is
+    /// outside the family's domain, which its constructor checks too.
+    /// The error names the refused value.
+    pub fn set_param(
+        &mut self,
+        lane: usize,
+        block: BlockId,
+        index: usize,
+        v: f64,
+    ) -> Result<(), String> {
+        self.rt.set_param(&self.tape, block.index(), index, lane, v)
+    }
+
+    /// Override the `Value` a `Constant` block emits on one lane.
+    pub fn set_const(&mut self, lane: usize, block: BlockId, v: Value) -> Result<(), String> {
+        self.rt.set_const(&self.tape, block.index(), lane, v)
+    }
+
+    /// Keep the lanes whose `keep` flag is set and drop the rest, in
+    /// place: the survivors keep their order, state and overrides and
+    /// step on bit for bit, now numbered `0..` in that order. Panics
+    /// unless `keep` has one flag per lane and at least one is set.
+    pub fn retain_lanes(&mut self, keep: &[bool]) {
+        self.rt.retain_lanes(&self.tape, keep);
     }
 
     /// Inject an external function-call event into a triggered block —
@@ -561,7 +666,7 @@ impl Engine {
     /// as-is — no cache lookup, no recompilation: scheduling derives from
     /// the immutable rate buckets, the runtime reloads its initial state
     /// pool and every block instance resets, so a rerun reproduces the
-    /// identical trajectory.
+    /// identical trajectory. Per-lane overrides survive.
     pub fn reset(&mut self) {
         self.t = 0.0;
         self.step_index = 0;

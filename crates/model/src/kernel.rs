@@ -18,19 +18,23 @@
 //! engine dispatches them from its function-call queue. A tape without
 //! trampolines takes a sweep that never checks for them.
 //!
-//! Three consumers sit on top of the tape:
+//! Two consumers sit on top of the tape:
 //!
-//! * [`crate::Engine`] steps one instance, trampolines included.
-//! * [`BatchEngine`] steps N instances of the *same* compiled plan over
-//!   structure-of-arrays lanes: the value arena, state, parameter and
-//!   constant pools are replicated per lane and every tape entry loops
+//! * [`crate::Engine`] steps it over a lane count fixed at construction.
+//!   The value arena, state, parameter and constant pools are
+//!   replicated per structure-of-arrays lane and every tape entry loops
 //!   over lanes, amortizing instruction decode across instances. Lanes
-//!   have no block instances of their own, so it refuses a tape with a
-//!   trampoline entry.
+//!   share the engine's one instance of each block, so a tape with a
+//!   trampoline entry runs on one lane only.
 //! * [`PlanCache`] keys compiled artifacts by `Diagram::fingerprint()`
 //!   plus a lowered-spec digest, so repeated instantiations of the same
 //!   topology (verify campaigns, `reset()`-heavy workloads) reuse the
 //!   tape instead of recompiling.
+//!
+//! Every parameter a kernel reads has its family's domain: the family's
+//! constructor and a per-lane override ([`crate::Engine::set_param`])
+//! run the same value check, and no override touches a parameter that
+//! fixes the window's layout, so no parameter can make a kernel panic.
 //!
 //! Everything stays inside `#![forbid(unsafe_code)]`: slots are
 //! validated at compile time and indexed with ordinary checked slices;
@@ -44,11 +48,10 @@
 //! it against the reference interpreter on every port of every step of
 //! generated diagrams.
 
-use std::convert::Infallible;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::block::{Block, SampleTime};
-use crate::graph::{BlockId, Diagram, DiagramFingerprint, Source};
+use crate::graph::{BlockId, Diagram, DiagramFingerprint};
 use crate::log::lock;
 use crate::plan::{ExecutionPlan, Sched, UNCONNECTED};
 use crate::signal::Value;
@@ -62,8 +65,7 @@ use crate::signal::Value;
 /// `values` is the whole arena, slot-major (`slot * lanes + lane`);
 /// `state`, `params` and `consts` are this instruction's windows only,
 /// lane-contiguous (`lane * len + k`). Kernels loop over lanes
-/// themselves, so one kernel body serves both the solo engine
-/// (`lanes == 1`) and [`BatchEngine`].
+/// themselves, so one kernel body serves every lane count.
 pub(crate) struct KernelCtx<'a> {
     /// Simulation time the block observes (`step_index * dt`).
     pub(crate) t: f64,
@@ -576,7 +578,8 @@ fn k_tf1_upd(c: &mut KernelCtx) {
 }
 
 /// Lookup1D: linear interpolation with flat extrapolation. Params
-/// `[n, x.., y..]`. Replicates the block's `partition_point` index.
+/// `[n, x.., y..]`. Replicates the block's `partition_point` index,
+/// floored at 1 like the block's so a NaN input reads NaN.
 fn k_lookup1d(c: &mut KernelCtx) {
     for l in 0..c.lanes() {
         let u = c.in_f64(0, l);
@@ -588,12 +591,104 @@ fn k_lookup1d(c: &mut KernelCtx) {
         } else if u >= x[n - 1] {
             y[n - 1]
         } else {
-            let i = x.partition_point(|&b| b <= u);
+            let i = x.partition_point(|&b| b <= u).max(1);
             let (x0, x1) = (x[i - 1], x[i]);
             y[i - 1] + (u - x0) / (x1 - x0) * (y[i] - y[i - 1])
         };
         c.set(l, v);
     }
+}
+
+// ---------------------------------------------------------------------
+// Parameter domains
+// ---------------------------------------------------------------------
+
+/// Which values a family's parameter window may hold.
+///
+/// The family's constructor runs the same `check`, so a per-lane
+/// override can never put a kernel in a state its constructor refuses.
+#[derive(Clone, Copy)]
+pub(crate) struct Domain {
+    /// Indices that fix the window's layout or a mode (the transfer
+    /// function's lengths, the integrator's has-limits flag). No
+    /// override may touch them.
+    structural: &'static [usize],
+    /// The value check over a whole window.
+    check: fn(&[f64]) -> Result<(), String>,
+}
+
+fn any_value(_: &[f64]) -> Result<(), String> {
+    Ok(())
+}
+
+impl Domain {
+    /// Every value is fine (the family's arithmetic cannot panic).
+    const ANY: Domain = Domain { structural: &[], check: any_value };
+}
+
+/// `[lo, hi]` must be non-empty and free of NaN: `f64::clamp` panics
+/// otherwise.
+fn interval(what: &str, lo: f64, hi: f64) -> Result<(), String> {
+    if lo.is_nan() || hi.is_nan() || lo > hi {
+        return Err(format!("{what} interval [{lo}, {hi}] is empty"));
+    }
+    Ok(())
+}
+
+/// Saturation `[lo, hi]`.
+pub(crate) fn saturation_domain(p: &[f64]) -> Result<(), String> {
+    interval("saturation", p[0], p[1])
+}
+
+/// RateLimiter `[rising, falling]`: non-negative rates, or the slew
+/// clamp's bounds cross (and NaN bounds panic it).
+pub(crate) fn rate_limiter_domain(p: &[f64]) -> Result<(), String> {
+    for &rate in &p[..2] {
+        if rate.is_nan() || rate < 0.0 {
+            return Err(format!("rate limiter rate {rate} is not a non-negative number"));
+        }
+    }
+    Ok(())
+}
+
+/// Relay `[on_point, off_point, on_value, off_value]`: the off point
+/// must not exceed the on point.
+pub(crate) fn relay_domain(p: &[f64]) -> Result<(), String> {
+    if p[1] > p[0] {
+        return Err(format!("relay off point {} exceeds its on point {}", p[1], p[0]));
+    }
+    Ok(())
+}
+
+/// DiscreteIntegrator `[period, has_limits, lo, hi]`: limits, when
+/// present, form an interval.
+pub(crate) fn discrete_integrator_domain(p: &[f64]) -> Result<(), String> {
+    if p[1] != 0.0 {
+        interval("integrator limit", p[2], p[3])?;
+    }
+    Ok(())
+}
+
+/// TransferFcn1 `[gain, tau]`: a positive time constant.
+pub(crate) fn transfer_fcn1_domain(p: &[f64]) -> Result<(), String> {
+    if p[1] > 0.0 {
+        return Ok(());
+    }
+    Err(format!("time constant {} is not positive", p[1]))
+}
+
+/// Lookup1D breakpoints must increase strictly (NaN included in the
+/// refusal): the interpolation's index search assumes it.
+pub(crate) fn breakpoints_domain(x: &[f64]) -> Result<(), String> {
+    if !x.windows(2).all(|w| w[0] < w[1]) {
+        return Err("breakpoints must be strictly increasing".into());
+    }
+    Ok(())
+}
+
+/// Lookup1D `[n, x.., y..]`.
+fn lookup1d_domain(p: &[f64]) -> Result<(), String> {
+    breakpoints_domain(&p[1..1 + p[0] as usize])
 }
 
 // ---------------------------------------------------------------------
@@ -617,6 +712,7 @@ pub struct KernelSpec {
     /// A trampoline: the engine calls the block instance instead.
     pub(crate) tramp: bool,
     pub(crate) family: &'static str,
+    pub(crate) domain: Domain,
 }
 
 impl KernelSpec {
@@ -632,6 +728,7 @@ impl KernelSpec {
             foldable: false,
             tramp: false,
             family,
+            domain: Domain::ANY,
         }
     }
 
@@ -673,6 +770,16 @@ impl KernelSpec {
     /// `FOLDABLE_BLOCKS` so the lint verify phase covers the fold).
     pub(crate) fn foldable(mut self) -> Self {
         self.foldable = true;
+        self
+    }
+
+    /// Attach the family's parameter domain.
+    fn with_domain(
+        mut self,
+        structural: &'static [usize],
+        check: fn(&[f64]) -> Result<(), String>,
+    ) -> Self {
+        self.domain = Domain { structural, check };
         self
     }
 }
@@ -734,7 +841,10 @@ impl KernelSpec {
     }
 
     pub(crate) fn saturation(lo: f64, hi: f64) -> Self {
-        Self::stateless(k_saturation, "Saturation").with_params(vec![lo, hi]).foldable()
+        Self::stateless(k_saturation, "Saturation")
+            .with_params(vec![lo, hi])
+            .with_domain(&[], saturation_domain)
+            .foldable()
     }
 
     pub(crate) fn dead_zone(width: f64) -> Self {
@@ -748,6 +858,7 @@ impl KernelSpec {
     pub(crate) fn rate_limiter(rising: f64, falling: f64, state: f64, primed: bool) -> Self {
         Self::stateless(k_ratelimiter, "RateLimiter")
             .with_params(vec![rising, falling])
+            .with_domain(&[], rate_limiter_domain)
             .with_state(vec![state, f64::from(u8::from(primed))], vec![0.0, 0.0])
     }
 
@@ -760,6 +871,7 @@ impl KernelSpec {
     ) -> Self {
         Self::stateless(k_relay, "Relay")
             .with_params(vec![on_point, off_point, on_value, off_value])
+            .with_domain(&[], relay_domain)
             .with_state(vec![f64::from(u8::from(on))], vec![0.0])
     }
 
@@ -814,6 +926,7 @@ impl KernelSpec {
         Self::stateless(k_load0, "DiscreteIntegrator")
             .with_update(k_dint_upd)
             .with_params(vec![period, has, lo, hi])
+            .with_domain(&[1], discrete_integrator_domain)
             .with_state(vec![state], vec![initial])
     }
 
@@ -831,6 +944,7 @@ impl KernelSpec {
         Self::stateless(k_dtf_out, "DiscreteTransferFcn")
             .with_update(k_dtf_upd)
             .with_params(params)
+            .with_domain(&[0, 1], any_value)
             .with_state(w.to_vec(), vec![0.0; w.len()])
     }
 
@@ -845,6 +959,7 @@ impl KernelSpec {
         Self::stateless(k_load0, "TransferFcn1")
             .with_update(k_tf1_upd)
             .with_params(vec![gain, tau])
+            .with_domain(&[], transfer_fcn1_domain)
             .with_state(vec![state], vec![0.0])
     }
 
@@ -852,7 +967,9 @@ impl KernelSpec {
         let mut params = vec![x.len() as f64];
         params.extend_from_slice(x);
         params.extend_from_slice(y);
-        Self::stateless(k_lookup1d, "Lookup1D").with_params(params)
+        Self::stateless(k_lookup1d, "Lookup1D")
+            .with_params(params)
+            .with_domain(&[0], lookup1d_domain)
     }
 
     pub(crate) fn inport() -> Self {
@@ -872,12 +989,12 @@ impl KernelSpec {
 // Errors
 // ---------------------------------------------------------------------
 
-/// Why [`BatchEngine`] refused a diagram.
+/// Why a multi-lane [`crate::Engine`] refused a diagram.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum KernelError {
     /// The block needs a trampoline entry (no kernel lowering, event
     /// ports, `Triggered`, or more than one output). A trampoline calls
-    /// one block instance, and batched lanes have none of their own.
+    /// the engine's one instance of the block, which lanes cannot share.
     Trampoline {
         /// The refused block's index.
         block: usize,
@@ -938,6 +1055,9 @@ pub struct CompiledPlan {
     /// Periodic entries in topological order, then the triggered
     /// blocks' entries, which only event dispatch runs.
     pub(crate) tape: Vec<KInstr>,
+    /// Per tape entry: what a per-lane override may write into its
+    /// parameter window (kept off `KInstr`, which the sweep streams).
+    domains: Vec<Domain>,
     /// Length of the periodic prefix of `tape`.
     pub(crate) periodic: usize,
     /// Trampoline entries on the tape.
@@ -1070,7 +1190,7 @@ fn lower_all(diagram: &Diagram) -> Vec<KernelSpec> {
 }
 
 /// The first block of `diagram` that lowered to a trampoline, as the
-/// error [`BatchEngine`] refuses it with.
+/// error a multi-lane engine refuses it with.
 fn refuse_trampolines(diagram: &Diagram, specs: &[KernelSpec]) -> Result<(), KernelError> {
     match specs.iter().position(|s| s.tramp) {
         None => Ok(()),
@@ -1167,6 +1287,7 @@ fn build(
     let mut state0 = Vec::new();
     let mut state_reset = Vec::new();
     let mut block_instr = vec![u32::MAX; n];
+    let mut domains = Vec::with_capacity(exec.order.len());
 
     // the periodic sweep in topological order, then the triggered blocks
     // (absent from `order`), which only event dispatch reaches
@@ -1196,6 +1317,7 @@ fn build(
         state0.extend_from_slice(&s.state);
         state_reset.extend_from_slice(&s.state_reset);
         block_instr[bi] = tape.len() as u32;
+        domains.push(s.domain);
         tape.push(KInstr {
             out: s.out,
             upd: s.upd,
@@ -1221,6 +1343,7 @@ fn build(
     CompiledPlan {
         exec,
         tape,
+        domains,
         periodic,
         trampolines,
         opool,
@@ -1394,27 +1517,22 @@ impl PlanCache {
     }
 
     /// Look up or compile the plan for `diagram`. Returns the shared
-    /// plan and whether it was a cache hit. The unpruned compile path
-    /// only — pruned tapes are bespoke and bypass the cache.
+    /// plan and whether it was a cache hit, or, when `trampolines` is
+    /// false and a block needs one, the refusal naming that block. The
+    /// unpruned compile path only — pruned tapes are bespoke and bypass
+    /// the cache.
     pub(crate) fn get_or_compile(
         &mut self,
         diagram: &Diagram,
         order: &[BlockId],
         dt: f64,
         fold: bool,
-    ) -> (Arc<CompiledPlan>, bool) {
-        self.get_or_build(diagram, order, dt, fold, lower_all(diagram))
-    }
-
-    /// [`PlanCache::get_or_compile`] over already-lowered specs.
-    fn get_or_build(
-        &mut self,
-        diagram: &Diagram,
-        order: &[BlockId],
-        dt: f64,
-        fold: bool,
-        specs: Vec<KernelSpec>,
-    ) -> (Arc<CompiledPlan>, bool) {
+        trampolines: bool,
+    ) -> Result<(Arc<CompiledPlan>, bool), KernelError> {
+        let specs = lower_all(diagram);
+        if !trampolines {
+            refuse_trampolines(diagram, &specs)?;
+        }
         let digest = specs_digest(&specs, dt, fold, &[]);
         let fingerprint = diagram.fingerprint();
         if let Some(pos) = self
@@ -1426,7 +1544,7 @@ impl PlanCache {
             let plan = Arc::clone(&entry.plan);
             self.entries.insert(0, entry);
             self.hits += 1;
-            return (plan, true);
+            return Ok((plan, true));
         }
         let plan = Arc::new(build(diagram, order, dt, specs, &[], fold));
         self.misses += 1;
@@ -1435,7 +1553,7 @@ impl PlanCache {
             self.evictions += (self.entries.len() - self.cap) as u64;
             self.entries.truncate(self.cap);
         }
-        (plan, false)
+        Ok((plan, false))
     }
 }
 
@@ -1444,8 +1562,8 @@ const GLOBAL_CACHE_CAP: usize = 64;
 
 static GLOBAL_CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
 
-/// The process-wide plan cache `Engine::new` and `BatchEngine::new`
-/// compile through.
+/// The process-wide plan cache [`crate::Engine::new`] compiles through
+/// (and [`crate::Engine::with_lanes`] when given no cache).
 pub(crate) fn global_cache() -> &'static Mutex<PlanCache> {
     GLOBAL_CACHE.get_or_init(|| Mutex::new(PlanCache::new(GLOBAL_CACHE_CAP)))
 }
@@ -1469,9 +1587,10 @@ pub fn global_cache_stats() -> CacheStats {
     CacheStats { hits: c.hits(), misses: c.misses(), evictions: c.evictions(), entries: c.len() }
 }
 
-/// Digest of `diagram`'s lowered kernel specs under the batch-engine
-/// compilation flags (`fold` off), or `None` when any block needs a
-/// trampoline entry (such diagrams cannot run in [`BatchEngine`] lanes).
+/// Digest of `diagram`'s lowered kernel specs under the multi-lane
+/// compilation flags of [`crate::Engine::with_lanes`] (`fold` off), or
+/// `None` when any block needs a trampoline entry (such a diagram runs
+/// on one lane only).
 ///
 /// Two diagrams sharing both this digest and [`Diagram::fingerprint`]
 /// compile to the same [`CompiledPlan`] cache entry, so a scheduler can
@@ -1568,9 +1687,10 @@ impl KernelRuntime {
         self.load_state(plan, &plan.state_reset);
     }
 
-    /// Override parameter `index` of `block` on `lane`. Returns false
-    /// when the block has no tape entry, was const-folded, or the index
-    /// is out of range.
+    /// Override parameter `index` of `block` on `lane`. Refuses (and
+    /// leaves the lane as it was) when the lane is out of range, the
+    /// block has no live tape entry, the index is past its window or
+    /// structural, or the value is outside the family's domain.
     pub(crate) fn set_param(
         &mut self,
         plan: &CompiledPlan,
@@ -1578,20 +1698,29 @@ impl KernelRuntime {
         index: usize,
         lane: usize,
         v: f64,
-    ) -> bool {
-        if lane >= self.lanes || block >= plan.block_instr.len() || plan.folded[block] {
-            return false;
+    ) -> Result<(), String> {
+        let ii = self.live_entry(plan, block, lane)?;
+        let (i, domain) = (&plan.tape[ii], plan.domains[ii]);
+        let (family, plen) = (i.family, i.plen as usize);
+        if index >= plen {
+            return Err(format!("{family} block #{block} has no parameter {index} (it has {plen})"));
         }
-        let ii = plan.block_instr[block];
-        if ii == u32::MAX {
-            return false;
+        if domain.structural.contains(&index) {
+            return Err(format!(
+                "parameter {index} of {family} block #{block} fixes its layout; \
+                 it cannot be overridden (to {v})"
+            ));
         }
-        let i = &plan.tape[ii as usize];
-        if index >= i.plen as usize {
-            return false;
+        let base = i.pbase as usize * self.lanes + lane * plen;
+        let window = &mut self.params[base..base + plen];
+        let old = std::mem::replace(&mut window[index], v);
+        if let Err(why) = (domain.check)(window) {
+            window[index] = old;
+            return Err(format!(
+                "parameter {index} of {family} block #{block} refused {v}: {why}"
+            ));
         }
-        self.params[i.pbase as usize * self.lanes + lane * i.plen as usize + index] = v;
-        true
+        Ok(())
     }
 
     /// Override the emitted `Value` of a `Constant`-family block on
@@ -1602,77 +1731,67 @@ impl KernelRuntime {
         block: usize,
         lane: usize,
         v: Value,
-    ) -> bool {
-        if lane >= self.lanes || block >= plan.block_instr.len() || plan.folded[block] {
-            return false;
-        }
-        let ii = plan.block_instr[block];
-        if ii == u32::MAX {
-            return false;
-        }
-        let i = &plan.tape[ii as usize];
+    ) -> Result<(), String> {
+        let i = &plan.tape[self.live_entry(plan, block, lane)?];
         if i.clen != 1 {
-            return false;
+            return Err(format!("{} block #{block} emits no constant", i.family));
         }
         self.consts[i.cbase as usize * self.lanes + lane] = v;
-        true
+        Ok(())
     }
 
-    /// Copy one lane out into template-layout (single-lane) pools.
-    fn extract_lane(&self, plan: &CompiledPlan, lane: usize) -> LanePools {
-        let mut values = Vec::with_capacity(plan.arena_slots);
-        for slot in 0..plan.arena_slots {
-            values.push(self.values[slot * self.lanes + lane]);
+    /// The tape index of the entry an override of `block` on `lane`
+    /// writes through.
+    fn live_entry(&self, plan: &CompiledPlan, block: usize, lane: usize) -> Result<usize, String> {
+        if lane >= self.lanes {
+            return Err(format!("lane {lane} out of range ({} lanes)", self.lanes));
         }
-        let mut state = vec![0.0; plan.state0.len()];
-        let mut params = vec![0.0; plan.params.len()];
-        let mut consts = vec![Value::default(); plan.consts.len()];
-        for i in &plan.tape {
-            let (sb, sl) = (i.sbase as usize, i.slen as usize);
-            for k in 0..sl {
-                state[sb + k] = self.state[sb * self.lanes + lane * sl + k];
-            }
-            let (pb, pl) = (i.pbase as usize, i.plen as usize);
-            for k in 0..pl {
-                params[pb + k] = self.params[pb * self.lanes + lane * pl + k];
-            }
-            let (cb, cl) = (i.cbase as usize, i.clen as usize);
-            for k in 0..cl {
-                consts[cb + k] = self.consts[cb * self.lanes + lane * cl + k];
-            }
+        match plan.block_instr.get(block) {
+            Some(&ii) if ii != u32::MAX && !plan.folded[block] => Ok(ii as usize),
+            _ => Err(format!("block #{block} is not on the tape (folded, pruned or out of range)")),
         }
-        LanePools { values, state, params, consts }
     }
 
-    /// Load template-layout pools into one lane (inverse of
-    /// `extract_lane`).
-    fn load_lane(&mut self, plan: &CompiledPlan, lane: usize, pools: &LanePools) {
-        for slot in 0..plan.arena_slots {
-            self.values[slot * self.lanes + lane] = pools.values[slot];
-        }
-        for i in &plan.tape {
-            let (sb, sl) = (i.sbase as usize, i.slen as usize);
-            for k in 0..sl {
-                self.state[sb * self.lanes + lane * sl + k] = pools.state[sb + k];
-            }
-            let (pb, pl) = (i.pbase as usize, i.plen as usize);
-            for k in 0..pl {
-                self.params[pb * self.lanes + lane * pl + k] = pools.params[pb + k];
-            }
-            let (cb, cl) = (i.cbase as usize, i.clen as usize);
-            for k in 0..cl {
-                self.consts[cb * self.lanes + lane * cl + k] = pools.consts[cb + k];
-            }
-        }
+    /// Keep the lanes whose `keep` flag is set, in order, and drop the
+    /// rest: every pool moves the surviving lanes' slices down in place
+    /// and shrinks, so the survivors step on bit for bit.
+    pub(crate) fn retain_lanes(&mut self, plan: &CompiledPlan, keep: &[bool]) {
+        assert_eq!(keep.len(), self.lanes, "retain_lanes: one flag per lane");
+        let kept: Vec<usize> = (0..self.lanes).filter(|&l| keep[l]).collect();
+        assert!(!kept.is_empty(), "retain_lanes: an engine keeps at least one lane");
+        let old = self.lanes;
+        let slots = (0..plan.arena_slots).map(|slot| (slot, 1));
+        retain_windows(&mut self.values, plan.arena_slots, slots, old, &kept);
+        let state = plan.tape.iter().map(|i| (i.sbase as usize, i.slen as usize));
+        retain_windows(&mut self.state, plan.state0.len(), state, old, &kept);
+        let params = plan.tape.iter().map(|i| (i.pbase as usize, i.plen as usize));
+        retain_windows(&mut self.params, plan.params.len(), params, old, &kept);
+        let consts = plan.tape.iter().map(|i| (i.cbase as usize, i.clen as usize));
+        retain_windows(&mut self.consts, plan.consts.len(), consts, old, &kept);
+        self.lanes = kept.len();
     }
 }
 
-/// Template-layout (single-lane) copies of every mutable pool.
-struct LanePools {
-    values: Vec<Value>,
-    state: Vec<f64>,
-    params: Vec<f64>,
-    consts: Vec<Value>,
+/// Narrow one pool from `old` lanes to the `kept` ones. The pool tiles
+/// `template_len` template scalars as `(base, len)` windows in
+/// ascending order, each stored lane-contiguous at `base * lanes`, so
+/// every destination sits at or below its source and a front-to-back
+/// copy never overwrites a slice it still has to read.
+fn retain_windows<T: Copy>(
+    pool: &mut Vec<T>,
+    template_len: usize,
+    windows: impl Iterator<Item = (usize, usize)>,
+    old: usize,
+    kept: &[usize],
+) {
+    let new = kept.len();
+    for (base, len) in windows {
+        for (to, &from) in kept.iter().enumerate() {
+            let src = base * old + from * len;
+            pool.copy_within(src..src + len, base * new + to * len);
+        }
+    }
+    pool.truncate(template_len * new);
 }
 
 /// Run one tape instruction's kernel over all lanes.
@@ -1743,206 +1862,6 @@ pub(crate) fn sweep<const TRAMP: bool, E>(
         }
     }
     Ok(evals)
-}
-
-// ---------------------------------------------------------------------
-// BatchEngine: N lanes of the same compiled plan
-// ---------------------------------------------------------------------
-
-/// N instances of one compiled diagram stepping together over
-/// structure-of-arrays lanes.
-///
-/// Every tape entry is decoded once per step and executed across all
-/// lanes, amortizing dispatch and index decode — the seed of the
-/// many-instances serving story (parameter sweeps, verify/fault
-/// campaigns). Lanes start identical; diverge them with
-/// [`BatchEngine::set_param`] / [`BatchEngine::set_const`].
-///
-/// Lanes share one tape and own no block instances, so every block must
-/// lower to a kernel: a diagram that needs a trampoline entry fails
-/// construction with a [`KernelError`] naming the block. Compiles
-/// through the shared [`PlanCache`] with const-folding *off*, so
-/// per-lane parameter overrides keep their targets.
-pub struct BatchEngine {
-    plan: Arc<CompiledPlan>,
-    rt: KernelRuntime,
-    dt: f64,
-    t: f64,
-    step_index: u64,
-    bucket_due: Vec<bool>,
-}
-
-impl BatchEngine {
-    /// Compile (or fetch from the global cache) and allocate `lanes`
-    /// lanes. The diagram is only borrowed — the tape captures
-    /// everything.
-    pub fn new(diagram: &Diagram, dt: f64, lanes: usize) -> Result<Self, crate::engine::SimError> {
-        Self::with_cache(diagram, dt, lanes, &mut lock(global_cache()))
-    }
-
-    /// Like [`BatchEngine::new`] but through a caller-owned cache (for
-    /// deterministic hit/miss accounting in tests).
-    pub fn with_cache(
-        diagram: &Diagram,
-        dt: f64,
-        lanes: usize,
-        cache: &mut PlanCache,
-    ) -> Result<Self, crate::engine::SimError> {
-        assert!(dt > 0.0, "dt must be positive");
-        let order = diagram.sorted_order()?;
-        let specs = lower_all(diagram);
-        refuse_trampolines(diagram, &specs).map_err(crate::engine::SimError::Kernel)?;
-        let (plan, _) = cache.get_or_build(diagram, &order, dt, false, specs);
-        Ok(Self::from_plan(plan, dt, lanes))
-    }
-
-    fn from_plan(plan: Arc<CompiledPlan>, dt: f64, lanes: usize) -> Self {
-        assert!(lanes >= 1, "BatchEngine needs at least one lane");
-        let rt = KernelRuntime::new(&plan, lanes);
-        let buckets = plan.exec.buckets.len();
-        BatchEngine { plan, rt, dt, t: 0.0, step_index: 0, bucket_due: vec![false; buckets] }
-    }
-
-    /// Lanes stepping together.
-    pub fn lanes(&self) -> usize {
-        self.rt.lanes
-    }
-
-    /// Simulation time all lanes are at.
-    pub fn time(&self) -> f64 {
-        self.t
-    }
-
-    /// Major steps completed.
-    pub fn steps(&self) -> u64 {
-        self.step_index
-    }
-
-    /// The shared compiled plan.
-    pub fn plan(&self) -> &CompiledPlan {
-        &self.plan
-    }
-
-    /// Advance every lane one major step (output phase, then update
-    /// phase — identical to [`crate::Engine::step`] semantics).
-    pub fn step(&mut self) {
-        let plan: &CompiledPlan = &self.plan;
-        if !plan.single_rate {
-            for (due, b) in self.bucket_due.iter_mut().zip(&plan.exec.buckets) {
-                *due = b.due(self.step_index);
-            }
-        }
-        let no_tramp = |_: &KInstr, _: &mut KernelRuntime| Ok::<(), Infallible>(());
-        let (t, dt, due) = (self.t, self.dt, &self.bucket_due);
-        let Ok(_) = sweep::<false, _>(plan, &mut self.rt, t, dt, due, true, no_tramp);
-        let Ok(_) = sweep::<false, _>(plan, &mut self.rt, t, dt, due, false, no_tramp);
-        self.step_index += 1;
-        self.t = self.step_index as f64 * self.dt;
-    }
-
-    /// Read output `src` on `lane` (same contract as
-    /// `Engine::probe`). Panics when the lane, block or port is out of
-    /// range.
-    pub fn probe(&self, lane: usize, src: Source) -> Value {
-        let (id, port) = src;
-        assert!(lane < self.rt.lanes, "lane {lane} out of range");
-        let bi = id.index();
-        assert!(bi < self.plan.exec.out_count.len(), "probe: block out of range");
-        assert!(
-            (port as u32) < self.plan.exec.out_count[bi],
-            "probe: port {port} out of range for block #{bi}"
-        );
-        let slot = (self.plan.exec.out_base[bi] + port as u32) as usize;
-        self.rt.values[slot * self.rt.lanes + lane]
-    }
-
-    /// Override parameter `index` of `block` on one lane (e.g. a `Gain`
-    /// gain, a `Saturation` bound — the lowering's parameter order).
-    /// Returns false if the block is not on the tape or has no such
-    /// parameter.
-    pub fn set_param(&mut self, lane: usize, block: BlockId, index: usize, v: f64) -> bool {
-        self.rt.set_param(&self.plan, block.index(), index, lane, v)
-    }
-
-    /// Override the `Value` a `Constant` block emits on one lane.
-    pub fn set_const(&mut self, lane: usize, block: BlockId, v: Value) -> bool {
-        self.rt.set_const(&self.plan, block.index(), lane, v)
-    }
-
-    /// Rewind every lane to t = 0 with post-`reset()` block state.
-    /// Per-lane parameter/constant overrides survive.
-    pub fn reset(&mut self) {
-        self.rt.reset(&self.plan);
-        self.t = 0.0;
-        self.step_index = 0;
-        self.bucket_due.fill(false);
-    }
-
-    /// The shared compiled plan, clonable for
-    /// [`BatchEngine::from_shared_plan`] (e.g. a scheduler compacting a
-    /// half-dead batch into a narrower one without another cache
-    /// lookup).
-    pub fn shared_plan(&self) -> Arc<CompiledPlan> {
-        Arc::clone(&self.plan)
-    }
-
-    /// Allocate `lanes` fresh lanes over an already-compiled plan
-    /// (shared, not recompiled — `dt` comes from the plan itself).
-    pub fn from_shared_plan(plan: Arc<CompiledPlan>, lanes: usize) -> Self {
-        let dt = plan.dt;
-        Self::from_plan(plan, dt, lanes)
-    }
-
-    /// Capture everything lane-local about `lane` — value arena slice,
-    /// state, per-lane parameter/constant overrides — plus the shared
-    /// step index, so the lane can be transplanted into another
-    /// [`BatchEngine`] of the same plan.
-    pub fn checkpoint_lane(&self, lane: usize) -> LaneCheckpoint {
-        assert!(lane < self.rt.lanes, "checkpoint_lane: lane {lane} out of range");
-        LaneCheckpoint { step_index: self.step_index, pools: self.rt.extract_lane(&self.plan, lane) }
-    }
-
-    /// Load a checkpoint into `lane`. Fails (returning `false`, engine
-    /// untouched) when the checkpoint was taken on a different plan
-    /// shape or at a different step index than this engine is at —
-    /// lanes share one clock, so a transplant must be time-aligned
-    /// (use [`BatchEngine::seek`] on a fresh engine first).
-    pub fn restore_lane(&mut self, lane: usize, chk: &LaneCheckpoint) -> bool {
-        if lane >= self.rt.lanes
-            || chk.step_index != self.step_index
-            || chk.pools.values.len() != self.plan.arena_slots
-            || chk.pools.state.len() != self.plan.state0.len()
-            || chk.pools.params.len() != self.plan.params.len()
-            || chk.pools.consts.len() != self.plan.consts.len()
-        {
-            return false;
-        }
-        self.rt.load_lane(&self.plan, lane, &chk.pools);
-        true
-    }
-
-    /// Fast-forward a *fresh* engine's clock to `step_index` without
-    /// stepping, so checkpointed lanes can be restored time-aligned.
-    /// Panics if any step has already run.
-    pub fn seek(&mut self, step_index: u64) {
-        assert!(self.step_index == 0, "seek: engine has already stepped");
-        self.step_index = step_index;
-        self.t = step_index as f64 * self.dt;
-    }
-}
-
-/// One lane of a [`BatchEngine`], frozen for transplant (see
-/// [`BatchEngine::checkpoint_lane`]).
-pub struct LaneCheckpoint {
-    step_index: u64,
-    pools: LanePools,
-}
-
-impl LaneCheckpoint {
-    /// The shared step index the lane was frozen at.
-    pub fn step_index(&self) -> u64 {
-        self.step_index
-    }
 }
 
 #[cfg(test)]
@@ -2053,87 +1972,75 @@ mod tests {
         // fold on: the gain was folded away, so its params are gone
         let folded_plan = compile(&d, &order, 1e-3, &[], true);
         let mut rt = KernelRuntime::new(&folded_plan, 1);
-        assert!(!rt.set_param(&folded_plan, 3, 0, 0, 9.0), "folded block has no live params");
+        let folded = rt.set_param(&folded_plan, 3, 0, 0, 9.0);
+        assert!(folded.is_err(), "folded block has no live params");
         // fold off: the gain keeps its parameter window
         let live_plan = compile(&d, &order, 1e-3, &[], false);
         let mut rt = KernelRuntime::new(&live_plan, 1);
-        assert!(rt.set_param(&live_plan, 3, 0, 0, 9.0));
-        assert!(!rt.set_param(&live_plan, 3, 7, 0, 9.0), "index past the window");
-        assert!(!rt.set_param(&live_plan, 99, 0, 0, 9.0), "block out of range");
-        assert!(!rt.set_const(&live_plan, 3, 0, Value::F64(1.0)), "gain is not a Constant");
-        assert!(rt.set_const(&live_plan, 0, 0, Value::F64(8.0)));
+        assert_eq!(rt.set_param(&live_plan, 3, 0, 0, 9.0), Ok(()));
+        assert!(rt.set_param(&live_plan, 3, 7, 0, 9.0).is_err(), "index past the window");
+        assert!(rt.set_param(&live_plan, 99, 0, 0, 9.0).is_err(), "block out of range");
+        assert!(rt.set_param(&live_plan, 3, 0, 1, 9.0).is_err(), "lane out of range");
+        assert!(rt.set_const(&live_plan, 3, 0, Value::F64(1.0)).is_err(), "gain is not a Constant");
+        assert_eq!(rt.set_const(&live_plan, 0, 0, Value::F64(8.0)), Ok(()));
     }
 
     #[test]
-    fn lane_checkpoint_transplants_bit_exact() {
-        // divergent lanes, stateful diagram (integrator), transplant
-        // lane 2 into a narrow engine mid-run: trajectories must match
-        // the untouched wide engine bit-for-bit
-        let mut d = Diagram::new();
-        let s = d.add("sine", SineWave::new(1.0, 25.0)).unwrap();
-        let g = d.add("g", Gain::new(1.0)).unwrap();
-        let i = d.add("int", Integrator::new(0.0)).unwrap();
-        d.connect((s, 0), (g, 0)).unwrap();
-        d.connect((g, 0), (i, 0)).unwrap();
-
+    fn compaction_in_place_keeps_the_survivors_bit_exact() {
+        // a stateful diagram whose four lanes diverge by gain; lanes 0
+        // and 2 are dropped mid-run and 1 and 3 must step on exactly as
+        // they do in an uncompacted twin
+        let diagram = || {
+            let mut d = Diagram::new();
+            let s = d.add("sine", SineWave::new(1.0, 25.0)).unwrap();
+            let g = d.add("g", Gain::new(1.0)).unwrap();
+            let i = d.add("int", Integrator::new(0.0)).unwrap();
+            d.connect((s, 0), (g, 0)).unwrap();
+            d.connect((g, 0), (i, 0)).unwrap();
+            d
+        };
         let mut cache = PlanCache::new(4);
-        let mut wide = BatchEngine::with_cache(&d, 1e-3, 4, &mut cache).unwrap();
+        let mut wide = Engine::with_lanes(diagram(), 1e-3, 4, Some(&mut cache)).unwrap();
+        let mut twin = Engine::with_lanes(diagram(), 1e-3, 4, Some(&mut cache)).unwrap();
+        let g = crate::graph::BlockId(1);
         for lane in 0..4 {
-            assert!(wide.set_param(lane, g, 0, 1.0 + lane as f64 * 0.5));
+            let gain = 1.0 + lane as f64 * 0.5;
+            assert_eq!(wide.set_param(lane, g, 0, gain), Ok(()));
+            assert_eq!(twin.set_param(lane, g, 0, gain), Ok(()));
         }
         for _ in 0..10 {
-            wide.step();
+            wide.step().unwrap();
+            twin.step().unwrap();
         }
-
-        let chk = wide.checkpoint_lane(2);
-        assert_eq!(chk.step_index(), 10);
-        let mut narrow = BatchEngine::from_shared_plan(wide.shared_plan(), 1);
-        narrow.seek(10);
-        assert!(narrow.restore_lane(0, &chk));
-        assert_eq!(narrow.steps(), 10);
-
+        wide.retain_lanes(&[false, true, false, true]);
+        assert_eq!((wide.lanes(), wide.steps()), (2, 10));
+        let ids: Vec<_> = diagram().ids().collect();
         for _ in 0..30 {
-            wide.step();
-            narrow.step();
-            for &src in &[(s, 0), (g, 0), (i, 0)] {
-                let (a, b) = (wide.probe(2, src), narrow.probe(0, src));
-                assert_eq!(a.as_f64().to_bits(), b.as_f64().to_bits(), "{src:?}");
+            wide.step().unwrap();
+            twin.step().unwrap();
+            for src in ids.iter().map(|&id| (id, 0)) {
+                for (narrow, full) in [(0, 1), (1, 3)] {
+                    let (a, b) = (wide.probe_lane(narrow, src), twin.probe_lane(full, src));
+                    assert_eq!(a.as_f64().to_bits(), b.as_f64().to_bits(), "{src:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn restore_lane_rejects_misaligned_clock_and_shape() {
-        let d = offset_diagram();
-        let mut cache = PlanCache::new(4);
-        let mut e = BatchEngine::with_cache(&d, 1e-3, 2, &mut cache).unwrap();
-        e.step();
-        let chk = e.checkpoint_lane(0);
-        // same engine, same clock: fine
-        assert!(e.restore_lane(1, &chk));
-        // lane out of range
-        assert!(!e.restore_lane(2, &chk));
-        // clock mismatch
-        e.step();
-        assert!(!e.restore_lane(1, &chk));
-        // different plan shape
-        let other = foldable_diagram();
-        let mut o = BatchEngine::with_cache(&other, 1e-3, 2, &mut cache).unwrap();
-        o.step();
-        assert!(!o.restore_lane(0, &chk));
-    }
-
-    #[test]
     fn plan_cache_counts_evictions() {
         let mut cache = PlanCache::new(1);
-        let _ = BatchEngine::with_cache(&offset_diagram(), 1e-3, 1, &mut cache).unwrap();
+        let one_lane = |d: Diagram, cache: &mut PlanCache| {
+            let _ = Engine::with_lanes(d, 1e-3, 1, Some(cache)).unwrap();
+        };
+        one_lane(offset_diagram(), &mut cache);
         assert_eq!((cache.misses(), cache.evictions()), (1, 0));
-        let _ = BatchEngine::with_cache(&foldable_diagram(), 1e-3, 1, &mut cache).unwrap();
+        one_lane(foldable_diagram(), &mut cache);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 1);
         // the survivor still hits
-        let _ = BatchEngine::with_cache(&foldable_diagram(), 1e-3, 1, &mut cache).unwrap();
+        one_lane(foldable_diagram(), &mut cache);
         assert_eq!(cache.hits(), 1);
     }
 

@@ -24,14 +24,17 @@
 //! * a **diagram graph** ([`graph`]) with topological sorting and algebraic
 //!   loop detection, and **execution-plan tables** ([`plan`]): a flat value
 //!   arena, dense input-resolution tables and integer-step rate buckets;
-//! * the **kernel tape** ([`kernel`]), the one step executor: the plan
-//!   lowered into a flat tape of monomorphized kernels (no per-step
-//!   dispatch), with trampoline entries for blocks that do not lower,
-//!   cached by diagram fingerprint, plus a batched SoA engine stepping N
-//!   instances of the same kernel-only tape together;
-//! * a fixed-step **engine** ([`engine`]) stepping the tape: the
-//!   closed-loop single model (plant + controller, §5) in MIL simulation
-//!   with an allocation-free step loop;
+//! * the **kernel tape** ([`kernel`]): the plan lowered into a flat tape
+//!   of monomorphized kernels (no per-step dispatch), with trampoline
+//!   entries for blocks that do not lower, cached by diagram
+//!   fingerprint, and one parameter domain per kernel family shared by
+//!   the block constructors and per-lane overrides;
+//! * a fixed-step **engine** ([`engine`]), the one type that steps the
+//!   tape: the closed-loop single model (plant + controller, §5) in MIL
+//!   simulation with an allocation-free step loop, over a lane count
+//!   fixed at construction — one lane with the diagram's block
+//!   instances, or N structure-of-arrays lanes of a kernel-only tape
+//!   stepping together;
 //! * **signal logging** ([`log`]) — the Scope data every experiment
 //!   post-processes.
 
@@ -54,8 +57,7 @@ pub mod subsystem;
 pub use block::{Block, BlockCtx, PortCount, SampleTime};
 pub use engine::{Backend, Engine, ProbeError, SimError};
 pub use kernel::{
-    global_cache_stats, lowering_digest, BatchEngine, CacheStats, CompiledPlan, KernelError,
-    LaneCheckpoint, PlanCache,
+    global_cache_stats, lowering_digest, CacheStats, CompiledPlan, KernelError, PlanCache,
 };
 pub use graph::{BlockFingerprint, BlockId, Diagram, DiagramFingerprint, GraphError};
 pub use log::{lock, SignalLog};

@@ -67,11 +67,10 @@ pub struct TransferFcn1 {
 }
 
 impl TransferFcn1 {
-    /// New first-order lag.
+    /// New first-order lag; the time constant must be positive (per-lane
+    /// overrides run the same check).
     pub fn new(gain: f64, tau: f64) -> Result<Self, String> {
-        if tau <= 0.0 {
-            return Err("time constant must be positive".into());
-        }
+        crate::kernel::transfer_fcn1_domain(&[gain, tau])?;
         Ok(TransferFcn1 { gain, tau, state: 0.0 })
     }
 }

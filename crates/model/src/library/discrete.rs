@@ -107,6 +107,14 @@ impl DiscreteIntegrator {
     pub fn new(period: f64) -> Self {
         DiscreteIntegrator { period, initial: 0.0, limits: None, state: 0.0 }
     }
+
+    /// Integrator from zero whose state is clamped to `[lo, hi]`; an
+    /// empty or NaN interval is an error (the clamp would panic on it at
+    /// the first update). Per-lane overrides run the same check.
+    pub fn with_limits(period: f64, lo: f64, hi: f64) -> Result<Self, String> {
+        crate::kernel::discrete_integrator_domain(&[period, 1.0, lo, hi])?;
+        Ok(DiscreteIntegrator { limits: Some((lo, hi)), ..Self::new(period) })
+    }
 }
 
 impl Block for DiscreteIntegrator {

@@ -20,9 +20,7 @@ impl Lookup1D {
         if x.len() < 2 {
             return Err("lookup table needs at least two points".into());
         }
-        if x.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("breakpoints must be strictly increasing".into());
-        }
+        crate::kernel::breakpoints_domain(&x)?;
         Ok(Lookup1D { x, y })
     }
 
@@ -34,7 +32,9 @@ impl Lookup1D {
         if u >= *self.x.last().unwrap() {
             return *self.y.last().unwrap();
         }
-        let i = self.x.partition_point(|&b| b <= u);
+        // a NaN input is below no breakpoint: floor the index so it
+        // interpolates to NaN instead of indexing before the table
+        let i = self.x.partition_point(|&b| b <= u).max(1);
         let (x0, x1) = (self.x[i - 1], self.x[i]);
         let (y0, y1) = (self.y[i - 1], self.y[i]);
         y0 + (u - x0) / (x1 - x0) * (y1 - y0)
@@ -80,6 +80,7 @@ mod tests {
         assert!(Lookup1D::new(vec![0.0], vec![0.0]).is_err());
         assert!(Lookup1D::new(vec![0.0, 0.0], vec![1.0, 2.0]).is_err());
         assert!(Lookup1D::new(vec![1.0, 0.0], vec![1.0, 2.0]).is_err());
+        assert!(Lookup1D::new(vec![0.0, f64::NAN], vec![1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -88,6 +89,11 @@ mod tests {
         assert_eq!(t.eval(0.5), 5.0);
         assert_eq!(t.eval(1.5), 12.5);
         assert_eq!(t.eval(1.0), 10.0, "exact breakpoint");
+    }
+
+    #[test]
+    fn a_nan_input_reads_nan_instead_of_indexing_before_the_table() {
+        assert!(table().eval(f64::NAN).is_nan());
     }
 
     #[test]

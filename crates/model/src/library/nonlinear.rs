@@ -12,11 +12,10 @@ pub struct Saturation {
 
 impl Saturation {
     /// New saturation over `[lo, hi]`; an empty or NaN interval is an
-    /// error (the clamp would panic on it every step).
+    /// error (the clamp would panic on it every step). Per-lane
+    /// overrides run the same check.
     pub fn new(lo: f64, hi: f64) -> Result<Self, String> {
-        if lo.is_nan() || hi.is_nan() || lo > hi {
-            return Err(format!("saturation interval [{lo}, {hi}] is empty"));
-        }
+        crate::kernel::saturation_domain(&[lo, hi])?;
         Ok(Saturation { lo, hi })
     }
 }
@@ -77,11 +76,10 @@ pub struct RateLimiter {
 
 impl RateLimiter {
     /// Symmetric rate limiter; a negative or NaN rate is an error (the
-    /// slew clamp would panic on it at the first step).
+    /// slew clamp would panic on it at the first step). Per-lane
+    /// overrides run the same check.
     pub fn new(rate: f64) -> Result<Self, String> {
-        if rate.is_nan() || rate < 0.0 {
-            return Err(format!("rate limiter rate {rate} is not a non-negative number"));
-        }
+        crate::kernel::rate_limiter_domain(&[rate, rate])?;
         Ok(RateLimiter { rising: rate, falling: rate, state: 0.0, primed: false })
     }
 }
@@ -138,11 +136,10 @@ pub struct Relay {
 }
 
 impl Relay {
-    /// New relay, initially off.
+    /// New relay, initially off; the off point must not exceed the on
+    /// point (per-lane overrides run the same check).
     pub fn new(on_point: f64, off_point: f64, on_value: f64, off_value: f64) -> Result<Self, String> {
-        if off_point > on_point {
-            return Err("relay off point must not exceed on point".into());
-        }
+        crate::kernel::relay_domain(&[on_point, off_point, on_value, off_value])?;
         Ok(Relay { on_point, off_point, on_value, off_value, state_on: false })
     }
 }

@@ -26,6 +26,12 @@ use crate::library::sources::{Constant, PulseGenerator, Ramp, SineWave, Step};
 use crate::subsystem::{Inport, Outport};
 use peert_trace::{json_struct, JsonValue, ToJson};
 
+/// The most inputs one instantiated block may have: as many wires as
+/// one 1 MiB wire frame can carry at 16 bytes each. A wider `Sum`,
+/// `Product` or `MinMax` is refused before the execution plan sizes a
+/// per-input table for it.
+pub const MAX_BLOCK_INPUTS: usize = 65_536;
+
 /// One block of a specified diagram, as plain data.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BlockSpec {
@@ -210,8 +216,16 @@ impl BlockSpec {
         )
     }
 
-    /// Instantiate the library block.
+    /// Instantiate the library block. Parameters outside a family's
+    /// domain and a `Sum`, `Product` or `MinMax` wider than
+    /// [`MAX_BLOCK_INPUTS`] are errors.
     pub fn instantiate(&self) -> Result<Box<dyn Block>, String> {
+        let (inputs, _) = self.ports();
+        if inputs > MAX_BLOCK_INPUTS {
+            return Err(format!(
+                "{inputs} inputs on one block exceed the limit of {MAX_BLOCK_INPUTS}"
+            ));
+        }
         Ok(match self {
             BlockSpec::Input { .. } => Box::new(Inport),
             BlockSpec::Output => Box::new(Outport),
@@ -255,9 +269,7 @@ impl BlockSpec {
             BlockSpec::UnitDelay { period } => Box::new(UnitDelay::new(*period)),
             BlockSpec::ZeroOrderHold { period } => Box::new(ZeroOrderHold::new(*period)),
             BlockSpec::DiscreteIntegrator { period, lo, hi } => {
-                let mut b = DiscreteIntegrator::new(*period);
-                b.limits = Some((*lo, *hi));
-                Box::new(b)
+                Box::new(DiscreteIntegrator::with_limits(*period, *lo, *hi)?)
             }
             BlockSpec::DiscreteDerivative { period } => {
                 Box::new(DiscreteDerivative::new(*period))

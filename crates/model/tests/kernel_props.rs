@@ -6,7 +6,9 @@
 //! interpreter — every output port, every step, including multirate
 //! exact-hit boundaries, const-folded subgraphs, trampoline entries and
 //! external `fire()` dispatches, with equal block-eval counts — and every
-//! `BatchEngine` lane is bit-exact with the same reference.
+//! lane of a multi-lane `Engine` is bit-exact with the same reference.
+//! Per-lane parameter overrides stay inside each family's domain: every
+//! special value either is refused or steps without a panic.
 //! Comparisons go through `f64::to_bits`-style raw encodings
 //! (`peert_verify::diff::value_bits`), never through `==` on floats.
 
@@ -15,7 +17,7 @@ use peert_model::graph::{BlockId, Diagram};
 use peert_model::kernel::{KernelError, KernelSpec};
 use peert_model::library::math::{Gain, Sum};
 use peert_model::library::sources::{Constant, SineWave};
-use peert_model::{BatchEngine, Engine, PlanCache, SimError};
+use peert_model::{Engine, PlanCache, SimError};
 use peert_verify::diff::value_bits;
 use peert_verify::gen::gen_mil_spec;
 use peert_verify::interp::RefInterp;
@@ -215,8 +217,8 @@ fn an_unlowered_block_runs_through_a_trampoline_bit_exact_with_the_reference() {
 }
 
 #[test]
-fn batch_engine_refuses_a_trampoline_and_names_the_block() {
-    let err = BatchEngine::new(&opaque_diagram(), 1e-3, 2).err().expect("refused");
+fn a_multi_lane_engine_refuses_a_trampoline_and_names_the_block() {
+    let err = Engine::with_lanes(opaque_diagram(), 1e-3, 2, None).err().expect("refused");
     let SimError::Kernel(KernelError::Trampoline { block, name, type_name }) = &err else {
         panic!("expected the trampoline refusal, got {err:?}");
     };
@@ -224,6 +226,12 @@ fn batch_engine_refuses_a_trampoline_and_names_the_block() {
     let msg = err.to_string();
     assert!(msg.contains("'opaque'") && msg.contains("Opaque"), "{msg}");
     assert!(peert_model::lowering_digest(&opaque_diagram(), 1e-3).is_none());
+    // one lane steps the engine's own block instance
+    let mut cache = PlanCache::new(2);
+    let e = Engine::with_lanes(opaque_diagram(), 1e-3, 1, Some(&mut cache)).unwrap();
+    assert_eq!(e.compiled_plan().trampolines(), 1);
+    let r = RefInterp::new(opaque_diagram(), 1e-3).unwrap();
+    assert_lockstep(e, r, 50, None, "one-lane trampoline");
 }
 
 /// A custom block whose rate is a constructor argument.
@@ -347,17 +355,17 @@ fn batched_lanes_are_bit_exact_with_the_reference() {
         let spec = gen_mil_spec(SEED ^ 0xBA7C, case);
         let d = spec.build().unwrap();
         let mut cache = PlanCache::new(4);
-        let mut batch = BatchEngine::with_cache(&d, spec.dt, 3, &mut cache).unwrap();
+        let mut batch = Engine::with_lanes(d, spec.dt, 3, Some(&mut cache)).unwrap();
         let mut reference = RefInterp::new(spec.build().unwrap(), spec.dt).unwrap();
         for s in 0..400 {
-            batch.step();
+            batch.step().unwrap();
             reference.step();
             for id in reference.ids() {
                 for p in 0..reference.outputs_of(id) {
                     let want = value_bits(reference.probe(id, p));
                     for lane in 0..batch.lanes() {
                         assert_eq!(
-                            value_bits(batch.probe(lane, (id, p))),
+                            value_bits(batch.probe_lane(lane, (id, p))),
                             want,
                             "case {case} step {s} lane {lane} block #{b} port {p}",
                             b = id.index()
@@ -374,8 +382,8 @@ fn batched_param_overrides_diverge_single_lanes_only() {
     let d = gain_chain(0.5);
     let g1 = BlockId::from_index(1);
     let mut cache = PlanCache::new(4);
-    let mut batch = BatchEngine::with_cache(&d, 1e-3, 3, &mut cache).unwrap();
-    assert!(batch.set_param(1, g1, 0, 2.0), "lane 1 gets gain 2.0");
+    let mut batch = Engine::with_lanes(d, 1e-3, 3, Some(&mut cache)).unwrap();
+    assert_eq!(batch.set_param(1, g1, 0, 2.0), Ok(()), "lane 1 gets gain 2.0");
 
     // reference: same chain rebuilt with g1's factor overridden (g2
     // keeps the built diagram's 1.5)
@@ -396,11 +404,12 @@ fn batched_param_overrides_diverge_single_lanes_only() {
     };
     let base = reference(0.5);
     let boosted = reference(2.0);
-    let observe = |batch: &mut BatchEngine| -> Vec<Vec<(u8, u64)>> {
+    let observe = |batch: &mut Engine| -> Vec<Vec<(u8, u64)>> {
         (0..200)
             .map(|_| {
-                batch.step();
-                (0..3).map(|l| value_bits(batch.probe(l, (BlockId::from_index(2), 0)))).collect()
+                batch.step().unwrap();
+                let g2 = (BlockId::from_index(2), 0);
+                (0..3).map(|l| value_bits(batch.probe_lane(l, g2))).collect()
             })
             .collect()
     };
@@ -414,4 +423,141 @@ fn batched_param_overrides_diverge_single_lanes_only() {
     batch.reset();
     let rerun = observe(&mut batch);
     assert_eq!(lanes, rerun, "reset preserves per-lane overrides and the trajectory");
+}
+
+/// One instance of every library family that lowers to a kernel, named,
+/// for the override property below. Each is fed by a sine on every
+/// input, so only the overridden parameter can push it off its domain.
+fn lowered_families() -> Vec<(&'static str, Box<dyn Block>)> {
+    use peert_model::library::*;
+    let dt = 1e-3;
+    vec![
+        ("Constant", Box::new(Constant::new(0.5))),
+        ("Step", Box::new(Step::new(0.005, 1.0))),
+        ("Ramp", Box::new(Ramp { slope: 2.0, start_time: 0.002 })),
+        ("SineWave", Box::new(SineWave::new(1.0, 25.0))),
+        (
+            "PulseGenerator",
+            Box::new(PulseGenerator { amplitude: 1.0, period: 0.004, duty: 0.5, delay: 0.0 }),
+        ),
+        ("Gain", Box::new(Gain::new(1.5))),
+        ("Sum", Box::new(Sum::new("+-").unwrap())),
+        ("Product", Box::new(Product { inputs: 2 })),
+        ("MinMax", Box::new(MinMax { is_max: true, inputs: 2 })),
+        ("Abs", Box::new(Abs)),
+        ("TrigFn", Box::new(TrigFn { op: TrigOp::Atan2 })),
+        ("Saturation", Box::new(Saturation::new(-0.5, 0.5).unwrap())),
+        ("DeadZone", Box::new(DeadZone { width: 0.2 })),
+        ("Quantizer", Box::new(Quantizer { interval: 0.25 })),
+        ("RateLimiter", Box::new(RateLimiter::new(10.0).unwrap())),
+        ("Relay", Box::new(Relay::new(0.5, -0.5, 1.0, 0.0).unwrap())),
+        ("Compare", Box::new(Compare { op: CompareOp::Lt })),
+        ("LogicGate", Box::new(LogicGate { op: LogicOp::Xor, inputs: 2 })),
+        ("Switch", Box::new(Switch)),
+        ("UnitDelay", Box::new(UnitDelay::new(dt))),
+        ("ZeroOrderHold", Box::new(ZeroOrderHold::new(2.0 * dt))),
+        ("DiscreteIntegrator", Box::new(DiscreteIntegrator::new(dt))),
+        (
+            "DiscreteIntegrator (limited)",
+            Box::new(DiscreteIntegrator::with_limits(dt, -0.1, 0.1).unwrap()),
+        ),
+        ("DiscreteDerivative", Box::new(DiscreteDerivative::new(dt))),
+        (
+            "DiscreteTransferFcn",
+            Box::new(DiscreteTransferFcn::new(dt, vec![0.5, 0.5], vec![-0.2]).unwrap()),
+        ),
+        ("Integrator", Box::new(Integrator::new(0.0))),
+        ("TransferFcn1", Box::new(TransferFcn1::new(2.0, 0.01).unwrap())),
+        (
+            "Lookup1D",
+            Box::new(Lookup1D::new(vec![-1.0, 0.0, 1.0], vec![0.0, 2.0, 1.0]).unwrap()),
+        ),
+    ]
+}
+
+#[test]
+fn every_special_parameter_override_is_refused_or_steps_without_a_panic() {
+    const SPECIAL: [f64; 8] =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0, 5e-324, 1e300];
+    // past the widest window (the Lookup1D's 7), so refusing an index
+    // past the window is part of the property too
+    const INDICES: usize = 9;
+    let (mut accepted, mut refused) = (0, 0);
+    for (name, block) in lowered_families() {
+        let mut d = Diagram::new();
+        let s = d.add("sine", SineWave::new(1.0, 25.0)).unwrap();
+        let inputs = block.ports().inputs;
+        let b = d.add_boxed(name.into(), block).unwrap();
+        for port in 0..inputs {
+            d.connect((s, 0), (b, port)).unwrap();
+        }
+        // one lane per (index, value), so every override lands alone
+        let lanes = INDICES * SPECIAL.len();
+        let mut e = Engine::with_lanes(d, 1e-3, lanes, Some(&mut PlanCache::new(1))).unwrap();
+        for lane in 0..lanes {
+            let (index, v) = (lane / SPECIAL.len(), SPECIAL[lane % SPECIAL.len()]);
+            match e.set_param(lane, b, index, v) {
+                Ok(()) => accepted += 1,
+                Err(why) => {
+                    assert!(!why.is_empty(), "{name}: a refusal carries its reason");
+                    refused += 1;
+                }
+            }
+        }
+        for _ in 0..16 {
+            e.step().unwrap_or_else(|err| panic!("{name}: {err}"));
+        }
+    }
+    // both halves of the property were exercised
+    assert!(accepted > 0 && refused > 0, "accepted {accepted}, refused {refused}");
+}
+
+#[test]
+fn refused_overrides_name_the_value_and_leave_the_lane_untouched() {
+    use peert_model::library::{DiscreteIntegrator, DiscreteTransferFcn, Saturation};
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 25.0)).unwrap();
+    let sat = d.add("sat", Saturation::new(-0.5, 1.0).unwrap()).unwrap();
+    let int = d.add("int", DiscreteIntegrator::with_limits(1e-3, -1.0, 1.0).unwrap()).unwrap();
+    let tf = d.add("tf", DiscreteTransferFcn::new(1e-3, vec![1.0, 0.5], vec![-0.3]).unwrap());
+    let tf = tf.unwrap();
+    d.connect((s, 0), (sat, 0)).unwrap();
+    d.connect((sat, 0), (int, 0)).unwrap();
+    d.connect((int, 0), (tf, 0)).unwrap();
+    let mut cache = PlanCache::new(2);
+    let mut e = Engine::with_lanes(d, 1e-3, 2, Some(&mut cache)).unwrap();
+    for (block, index, v, names) in [
+        (sat, 0, 5.0, "5"),
+        (sat, 1, f64::NAN, "NaN"),
+        (int, 1, 0.0, "(to 0)"),
+        (int, 2, 2.0, "2"),
+        (tf, 0, 9.0, "(to 9)"),
+        (tf, 1, 0.0, "(to 0)"),
+    ] {
+        let why = e.set_param(1, block, index, v).unwrap_err();
+        assert!(why.contains(names), "refusal of {v} must name it: {why}");
+    }
+    // lane 1 still steps exactly like lane 0
+    for _ in 0..40 {
+        e.step().unwrap();
+        for b in [sat, int, tf] {
+            assert_eq!(value_bits(e.probe_lane(0, (b, 0))), value_bits(e.probe_lane(1, (b, 0))));
+        }
+    }
+}
+
+#[test]
+fn a_nan_into_a_lookup_table_steps_bit_exact_with_the_reference() {
+    use peert_model::library::Lookup1D;
+    let diagram = || {
+        let mut d = Diagram::new();
+        let c = d.add("nan", Constant::new(f64::NAN)).unwrap();
+        let table = Lookup1D::new(vec![-1.0, 0.0, 1.0], vec![0.0, 2.0, 1.0]).unwrap();
+        let t = d.add("table", table).unwrap();
+        d.connect((c, 0), (t, 0)).unwrap();
+        d
+    };
+    let e = Engine::new(diagram(), 1e-3).unwrap();
+    let r = RefInterp::new(diagram(), 1e-3).unwrap();
+    assert_lockstep(e, r, 4, None, "NaN lookup");
 }

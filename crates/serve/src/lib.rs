@@ -7,13 +7,16 @@
 //! * **admission** ([`Server::submit`]): per-tenant quotas and bounded
 //!   per-shard queues. Admission never blocks — every refusal is an
 //!   immediate [`Reject`] with its reason;
-//! * **coalescing**: runnable sessions are
-//!   grouped by `Diagram::fingerprint` + lowering digest and stepped
-//!   through one shared [`peert_model::BatchEngine`] — many tenants,
-//!   one compiled plan, SoA lanes — with per-lane
-//!   [`LaneOverride`] divergence for parameter sweeps and Monte-Carlo
-//!   campaigns. Diagrams whose tape needs a trampoline entry
-//!   (a block without a kernel lowering) run as solo engines;
+//! * **coalescing**: every session runs as a lane of a gang, one
+//!   [`peert_model::Engine`] per gang. Runnable sessions are grouped by
+//!   `Diagram::fingerprint` + lowering digest and stepped together over
+//!   that engine's SoA lanes — many tenants, one compiled plan — with
+//!   per-lane [`LaneOverride`] divergence for parameter sweeps and
+//!   Monte-Carlo campaigns. A diagram whose tape needs a trampoline
+//!   entry (a block without a kernel lowering) gets a one-lane gang of
+//!   its own, stepping its own block instances. Every gang compiles
+//!   through the server's plan cache, and finished lanes are dropped
+//!   from a gang's engine in place;
 //! * **scheduling**: shard worker threads (std `mpsc` channels, no
 //!   async runtime) advance each gang one quantum of steps per round,
 //!   highest priority first, so a long session can't starve the rest

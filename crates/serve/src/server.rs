@@ -27,15 +27,17 @@ pub struct ServeConfig {
     /// alive). Counting until the client reaps keeps over-quota
     /// rejection deterministic under test schedules.
     pub tenant_quota: usize,
-    /// Max lanes per batch engine (gang width).
+    /// Max lanes per gang engine (gang width).
     pub max_lanes: usize,
     /// Steps each gang advances per scheduling round — the fairness /
     /// cancellation-latency granule.
     pub quantum: u64,
-    /// Server-owned plan-cache capacity.
+    /// Server-owned plan-cache capacity. Every gang compiles through
+    /// this cache, one-lane gangs of diagrams with trampoline entries
+    /// included.
     pub plan_cache_cap: usize,
-    /// Narrow a gang (checkpoint + transplant surviving lanes into a
-    /// fresh engine) once at least half its lanes finished.
+    /// Narrow a gang (drop its finished lanes from the engine in place)
+    /// once at least half its lanes finished.
     pub compact: bool,
     /// Start with scheduling paused (deterministic batch formation:
     /// submit everything, then [`Server::resume`]).
@@ -105,14 +107,20 @@ impl Shared {
 ///
 /// Public so deterministic drivers (the soak test) can derive the
 /// expected schedule: the key is the lowering digest when the diagram
-/// compiles (identical-plan sessions therefore always share a shard),
-/// or a block-type hash for diagrams that run as solo engines.
+/// lowers fully (identical-plan sessions therefore always share a
+/// shard), or a block-type hash for diagrams with trampoline entries,
+/// which run in one-lane gangs.
 pub fn route_shard(diagram: &Diagram, dt: f64, shards: usize) -> usize {
-    (route_key(diagram, dt) % shards.max(1) as u64) as usize
+    shard_of(lowering_digest(diagram, dt), diagram, shards)
 }
 
-fn route_key(diagram: &Diagram, dt: f64) -> u64 {
-    if let Some(d) = lowering_digest(diagram, dt) {
+/// [`route_shard`] from a lowering digest already computed.
+fn shard_of(digest: Option<u64>, diagram: &Diagram, shards: usize) -> usize {
+    (route_key(digest, diagram) % shards.max(1) as u64) as usize
+}
+
+fn route_key(digest: Option<u64>, diagram: &Diagram) -> u64 {
+    if let Some(d) = digest {
         return d;
     }
     // FNV-1a over the block type names — any deterministic spreading
@@ -191,7 +199,7 @@ impl Server {
             )));
         }
 
-        let shard = route_shard(&spec.diagram, spec.dt, self.txs.len());
+        let shard = shard_of(digest, &spec.diagram, self.txs.len());
 
         // deadline admission: predict run time from the routed shard's
         // measured p99 step latency and refuse infeasible sessions

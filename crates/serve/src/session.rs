@@ -104,8 +104,12 @@ pub fn all_ports(diagram: &Diagram) -> Vec<Source> {
 }
 
 /// One per-lane divergence applied to a session's lane of the shared
-/// plan (the [`peert_model::BatchEngine::set_param`] /
-/// [`peert_model::BatchEngine::set_const`] surface).
+/// plan (the [`peert_model::Engine::set_param`] /
+/// [`peert_model::Engine::set_const`] surface). An override the engine
+/// refuses — a value outside the block family's domain, a parameter
+/// that fixes the block's layout, a target not on the tape — ends the
+/// session [`SessionOutcome::Failed`] with the engine's reason, which
+/// names the refused value.
 #[derive(Clone, Debug)]
 pub enum LaneOverride {
     /// Override parameter `index` of `block` (lowering parameter
@@ -150,9 +154,9 @@ pub enum Reject {
     /// The spec itself is unusable (zero budget, bad dt, cyclic
     /// diagram, out-of-range probe, …).
     Invalid(String),
-    /// Overrides require the batch path, but the diagram does not lower
-    /// fully (it would run as a solo engine, where per-lane overrides
-    /// don't exist).
+    /// Overrides require a diagram that lowers fully, but this one has a
+    /// trampoline entry (it runs in a one-lane gang of its own, whose
+    /// overrides are not offered).
     OverridesUnsupported(String),
     /// The session cannot finish inside its wall-clock deadline
     /// budget: `steps × p99(step latency)` on the routed shard already
@@ -198,8 +202,8 @@ pub enum SessionOutcome {
     Completed,
     /// Cancelled by the client; trailing steps were never simulated.
     Cancelled,
-    /// The daemon could not run it (override targeting a folded or
-    /// missing parameter, engine error, …).
+    /// The daemon could not run it (an override the engine refused,
+    /// an engine error, …).
     Failed(String),
 }
 

@@ -1,6 +1,6 @@
 //! Shard worker: drains its bounded queue, coalesces same-plan
-//! sessions into `BatchEngine` gangs, and round-robins quanta across
-//! the active set.
+//! sessions into gangs (one multi-lane `Engine` each), and round-robins
+//! quanta across the active set.
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use peert_model::graph::Source;
-use peert_model::{lock, BatchEngine, DiagramFingerprint, Engine, Value};
+use peert_model::{lock, DiagramFingerprint, Engine, Value};
 
 use crate::server::Shared;
 use crate::session::{LaneOverride, SessionEvent, SessionOutcome, SessionTask};
@@ -23,7 +23,7 @@ pub(crate) enum ShardMsg {
     Shutdown,
 }
 
-/// One session occupying one lane of a gang (or a solo engine).
+/// One session occupying one lane of a gang.
 struct Lane {
     task: SessionTask,
     recorded: u64,
@@ -65,9 +65,11 @@ impl Lane {
     }
 }
 
-/// Same-plan sessions stepping together through one `BatchEngine`.
+/// Same-plan sessions stepping together through one `Engine`, one lane
+/// each. A diagram whose tape has trampoline entries gets a one-lane
+/// gang of its own, stepping its own block instances.
 struct Gang {
-    engine: BatchEngine,
+    engine: Engine,
     lanes: Vec<Lane>,
     priority: u8,
     seq: u64,
@@ -79,28 +81,17 @@ impl Gang {
     }
 }
 
-/// A session whose tape has trampoline entries, so it cannot share a
-/// batch: it steps its own engine.
-struct Solo {
-    engine: Engine,
-    lane: Lane,
-    priority: u8,
-    seq: u64,
-}
-
 pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardMsg>) {
     let mut pending: Vec<SessionTask> = Vec::new();
     let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     let mut gangs: Vec<Gang> = Vec::new();
-    let mut solos: Vec<Solo> = Vec::new();
     let mut shutting_down = false;
     let queued = &shared.queued[shard];
 
     loop {
         shared.wait_if_paused();
 
-        let idle =
-            pending.is_empty() && jobs.is_empty() && gangs.is_empty() && solos.is_empty();
+        let idle = pending.is_empty() && jobs.is_empty() && gangs.is_empty();
         if idle && !shutting_down {
             // nothing to do: sleep on the queue
             match rx.recv() {
@@ -122,20 +113,15 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
         }
 
         if !pending.is_empty() {
-            form_gangs(shard, shared, &mut pending, &mut gangs, &mut solos);
+            form_gangs(shard, shared, &mut pending, &mut gangs);
         }
 
-        // one quantum per active gang/solo, highest priority first
+        // one quantum per active gang, highest priority first
         gangs.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
-        solos.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
         for g in &mut gangs {
             gang_quantum(g, shard, shared);
         }
-        for s in &mut solos {
-            solo_quantum(s, shard, shared);
-        }
         gangs.retain(|g| g.live() > 0);
-        solos.retain(|s| !s.lane.done);
         if shared.config.compact {
             for g in &mut gangs {
                 maybe_compact(g, shard, shared);
@@ -149,7 +135,6 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
         if shutting_down
             && pending.is_empty()
             && gangs.is_empty()
-            && solos.is_empty()
             && queued.load(Ordering::Acquire) == 0
         {
             break;
@@ -173,19 +158,20 @@ fn absorb(
 /// Group the drained backlog into gangs: stable-sort by (priority,
 /// arrival), bucket by (priority, lowering digest, fingerprint) in
 /// first-seen order, then cut each bucket into `max_lanes`-wide gangs.
-/// Sessions that cannot batch become solo engines.
+/// A session whose diagram has no lowering digest (its tape needs a
+/// trampoline entry) gets a one-lane gang of its own.
 fn form_gangs(
     shard: usize,
     shared: &Arc<Shared>,
     pending: &mut Vec<SessionTask>,
     gangs: &mut Vec<Gang>,
-    solos: &mut Vec<Solo>,
 ) {
     pending.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
     let mut buckets: Vec<(u8, u64, DiagramFingerprint, Vec<SessionTask>)> = Vec::new();
     for task in pending.drain(..) {
         let Some(digest) = task.digest else {
-            start_solo(task, shard, shared, solos);
+            let priority = task.priority;
+            start_gang(vec![task], priority, shard, shared, gangs);
             continue;
         };
         if let Some(b) = buckets.iter_mut().find(|(p, d, fp, _)| {
@@ -216,13 +202,15 @@ fn start_gang(
     let n = group.len();
     let seq = group[0].seq;
     let dt = group[0].dt;
+    // no digest: the tape needs trampolines, so the gang has one lane
+    let solo = group[0].digest.is_none();
     let mut lanes: Vec<Lane> = group.into_iter().map(Lane::new).collect();
     let diagram = lanes[0].task.diagram.take().expect("gang representative diagram");
 
     let engine = {
         let mut cache = lock(&shared.cache);
         let (h0, m0) = (cache.hits(), cache.misses());
-        let r = BatchEngine::with_cache(&diagram, dt, n, &mut cache);
+        let r = Engine::with_lanes(diagram, dt, n, Some(&mut cache));
         let (dh, dm) = (cache.hits() - h0, cache.misses() - m0);
         drop(cache);
         let mut st = lock(&shared.shard_states[shard]);
@@ -234,10 +222,11 @@ fn start_gang(
     let mut engine = match engine {
         Ok(e) => e,
         Err(e) => {
-            // admission proved the diagram lowers, so this is unreachable
-            // in practice — still, fail the sessions rather than the shard
+            // admission proved the diagram schedules and that a multi-lane
+            // gang lowers, so this is unreachable in practice — still,
+            // fail the sessions rather than the shard
             for lane in &mut lanes {
-                lane.finish(SessionOutcome::Failed(format!("batch compile: {e:?}")), shared);
+                lane.finish(SessionOutcome::Failed(format!("compile: {e:?}")), shared);
             }
             return;
         }
@@ -245,52 +234,31 @@ fn start_gang(
     {
         let mut st = lock(&shared.shard_states[shard]);
         st.batches += 1;
+        st.solo_sessions += u64::from(solo);
     }
     {
         let mut c = lock(&shared.counters);
         c.batches += 1;
+        c.solo_sessions += u64::from(solo);
         if n >= 2 {
             c.coalesced_lanes += n as u64;
         }
     }
     for (li, lane) in lanes.iter_mut().enumerate() {
-        for o in lane.task.overrides.clone() {
-            let ok = match o {
+        let refused = lane.task.overrides.iter().find_map(|o| {
+            match *o {
                 LaneOverride::Param { block, index, value } => {
                     engine.set_param(li, block, index, value)
                 }
                 LaneOverride::Const { block, value } => engine.set_const(li, block, value),
-            };
-            if !ok {
-                lane.finish(
-                    SessionOutcome::Failed(
-                        "override target not on the tape (folded, pruned or out of range)".into(),
-                    ),
-                    shared,
-                );
-                break;
             }
+            .err()
+        });
+        if let Some(why) = refused {
+            lane.finish(SessionOutcome::Failed(format!("override refused: {why}")), shared);
         }
     }
     gangs.push(Gang { engine, lanes, priority, seq });
-}
-
-fn start_solo(task: SessionTask, shard: usize, shared: &Arc<Shared>, solos: &mut Vec<Solo>) {
-    let priority = task.priority;
-    let seq = task.seq;
-    let dt = task.dt;
-    let mut lane = Lane::new(task);
-    let diagram = lane.task.diagram.take().expect("solo diagram");
-    {
-        let mut st = lock(&shared.shard_states[shard]);
-        st.sessions += 1;
-        st.solo_sessions += 1;
-    }
-    lock(&shared.counters).solo_sessions += 1;
-    match Engine::new(diagram, dt) {
-        Ok(engine) => solos.push(Solo { engine, lane, priority, seq }),
-        Err(e) => lane.finish(SessionOutcome::Failed(format!("engine: {e:?}")), shared),
-    }
 }
 
 /// Remaining budget of the widest live lane (how far the gang still
@@ -321,10 +289,16 @@ fn gang_quantum(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     let q = shared.config.quantum.max(1).min(rem);
     let t0 = Instant::now();
     for _ in 0..q {
-        gang.engine.step();
+        if let Err(e) = gang.engine.step() {
+            for lane in gang.lanes.iter_mut().filter(|l| !l.done) {
+                lane.finish(SessionOutcome::Failed(format!("step: {e:?}")), shared);
+            }
+            return;
+        }
         for (li, lane) in gang.lanes.iter_mut().enumerate() {
             if !lane.done && lane.recorded < lane.task.budget {
-                record_probes(&mut lane.chunk, &lane.task.probes, |p| gang.engine.probe(li, p));
+                let probe = |p| gang.engine.probe_lane(li, p);
+                record_probes(&mut lane.chunk, &lane.task.probes, probe);
                 lane.recorded += 1;
             }
         }
@@ -341,61 +315,24 @@ fn gang_quantum(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     }
 }
 
-fn solo_quantum(solo: &mut Solo, shard: usize, shared: &Arc<Shared>) {
-    cancel_sweep(std::slice::from_mut(&mut solo.lane), shared);
-    let lane = &mut solo.lane;
-    if lane.done {
-        return;
-    }
-    let q = shared.config.quantum.max(1).min(lane.task.budget - lane.recorded);
-    let t0 = Instant::now();
-    for _ in 0..q {
-        if let Err(e) = solo.engine.step() {
-            lane.finish(SessionOutcome::Failed(format!("step: {e:?}")), shared);
-            return;
-        }
-        record_probes(&mut lane.chunk, &lane.task.probes, |p| solo.engine.probe(p));
-        lane.recorded += 1;
-    }
-    let ns_per_step = (t0.elapsed().as_nanos() as u64) / q;
-    lock(&shared.shard_states[shard]).hist.record(ns_per_step);
-    lane.flush();
-    if lane.recorded == lane.task.budget {
-        lane.finish(SessionOutcome::Completed, shared);
-    }
-}
-
 fn record_probes(chunk: &mut Vec<Value>, probes: &[Source], probe: impl Fn(Source) -> Value) {
     for &p in probes {
         chunk.push(probe(p));
     }
 }
 
-/// Once at least half a (≥4-lane) gang's lanes have finished, transplant
-/// the survivors into a narrower engine over the same shared plan —
-/// checkpoint/restore is bit-exact, so trajectories are unaffected, and
-/// the dead lanes stop costing SoA bandwidth.
+/// Once at least half a (≥4-lane) gang's lanes have finished, drop the
+/// finished lanes from its engine in place — the survivors keep their
+/// slices bit for bit, so trajectories are unaffected, and the dead
+/// lanes stop costing SoA bandwidth.
 fn maybe_compact(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     let live = gang.live();
     let total = gang.lanes.len();
     if total < 4 || live == 0 || (total - live) < live {
         return;
     }
-    let mut narrow = BatchEngine::from_shared_plan(gang.engine.shared_plan(), live);
-    narrow.seek(gang.engine.steps());
-    let mut target = 0;
-    for (li, lane) in gang.lanes.iter().enumerate() {
-        if !lane.done {
-            let chk = gang.engine.checkpoint_lane(li);
-            let ok = narrow.restore_lane(target, &chk);
-            debug_assert!(ok, "same plan + seeked clock must restore");
-            if !ok {
-                return; // keep the wide engine; correctness first
-            }
-            target += 1;
-        }
-    }
-    gang.engine = narrow;
+    let keep: Vec<bool> = gang.lanes.iter().map(|l| !l.done).collect();
+    gang.engine.retain_lanes(&keep);
     gang.lanes.retain(|l| !l.done);
     lock(&shared.shard_states[shard]).compactions += 1;
 }

@@ -31,12 +31,13 @@ json_struct! {
         pub failed: u64,
         /// Steps recorded by *completed* sessions (Σ of their budgets).
         pub steps_completed: u64,
-        /// Batch engines instantiated (gangs formed).
+        /// Gangs formed (one engine each, one-lane gangs included).
         pub batches: u64,
         /// Session lanes that shared a batch with at least one other
         /// session (the coalescing win).
         pub coalesced_lanes: u64,
-        /// Sessions that ran as solo engines (diagrams that cannot batch).
+        /// Sessions whose diagram has a trampoline entry, so they ran in
+        /// a one-lane gang of their own.
         pub solo_sessions: u64,
         /// Generic jobs executed (experiment sweeps).
         pub jobs: u64,
@@ -68,12 +69,12 @@ json_struct! {
         pub shard: usize,
         /// Session lanes started on this shard.
         pub sessions: u64,
-        /// Batch engines this shard instantiated.
+        /// Gangs this shard formed.
         pub batches: u64,
-        /// Batches narrowed via lane checkpoint/transplant after enough
-        /// lanes finished.
+        /// Gangs narrowed in place after enough lanes finished.
         pub compactions: u64,
-        /// Solo-engine sessions this shard ran.
+        /// One-lane gangs of diagrams with trampoline entries this shard
+        /// ran.
         pub solo_sessions: u64,
         /// Plan-cache hits attributable to this shard's lookups.
         pub cache_hits: u64,
@@ -81,8 +82,8 @@ json_struct! {
         pub cache_misses: u64,
         /// Messages waiting in the shard's bounded queue right now.
         pub queue_depth: usize,
-        /// Wall-clock nanoseconds to advance one scheduled batch/solo by
-        /// one step (p50/p95/p99 in ns).
+        /// Wall-clock nanoseconds to advance one scheduled gang by one
+        /// step (p50/p95/p99 in ns).
         pub step_ns: HistSummary,
     }
 }

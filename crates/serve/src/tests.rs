@@ -26,7 +26,8 @@ fn chain(gain: f64) -> Diagram {
 }
 
 /// A block the kernel cannot lower (default `lower()` → `None`), so
-/// any diagram containing it gets a trampoline entry and runs solo.
+/// any diagram containing it gets a trampoline entry and runs in a
+/// one-lane gang.
 struct Opaque;
 
 impl Block for Opaque {
@@ -179,7 +180,7 @@ fn invalid_specs_reject_with_reason() {
 }
 
 #[test]
-fn unlowerable_diagram_runs_solo_and_matches_the_reference() {
+fn unlowerable_diagram_runs_in_a_one_lane_gang_and_matches_the_reference() {
     let server = Server::start(small_config());
     let spec = SessionSpec::new("t", opaque_chain(), DT, 64).probe_all();
     let h = server.submit(spec).unwrap();
@@ -188,9 +189,101 @@ fn unlowerable_diagram_runs_solo_and_matches_the_reference() {
     assert_eq!(r.trajectory, reference(opaque_chain(), 64));
     let stats = server.shutdown();
     assert_eq!(stats.counters.solo_sessions, 1);
-    // a solo engine compiles through the process-wide plan cache, not
-    // the server's
-    assert_eq!(stats.plan_cache.misses, 0);
+    // a one-lane gang compiles through the server's own plan cache,
+    // like every other gang
+    assert_eq!(stats.plan_cache.misses, 1);
+}
+
+/// A custom block with state of its own: it outputs the running sum of
+/// its input. Two sessions sharing one instance would each see the
+/// other's sums.
+struct Accumulate(f64);
+
+impl Block for Accumulate {
+    fn type_name(&self) -> &'static str {
+        "Accumulate"
+    }
+    fn ports(&self) -> PortCount {
+        PortCount::new(1, 1)
+    }
+    fn reset(&mut self) {
+        self.0 = 0.0;
+    }
+    fn output(&mut self, ctx: &mut BlockCtx) {
+        self.0 += ctx.in_f64(0);
+        ctx.set_output(0, self.0);
+    }
+}
+
+fn accumulate_chain() -> Diagram {
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
+    let a = d.add("acc", Accumulate(0.0)).unwrap();
+    d.connect((s, 0), (a, 0)).unwrap();
+    d
+}
+
+#[test]
+fn stateful_custom_block_sessions_each_step_their_own_instances() {
+    let server = Server::start(ServeConfig { start_paused: true, ..small_config() });
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let spec = SessionSpec::new("t", accumulate_chain(), DT, 48).probe_all();
+            server.submit(spec).unwrap()
+        })
+        .collect();
+    server.resume();
+    for h in handles {
+        let r = h.join_deadline(JOIN).unwrap();
+        assert_eq!(r.outcome, SessionOutcome::Completed);
+        assert_eq!(r.trajectory, reference(accumulate_chain(), 48));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.counters.solo_sessions, 2);
+    // same diagram, same tape: the second gang reuses the first's plan
+    assert_eq!((stats.plan_cache.misses, stats.plan_cache.hits), (1, 1));
+}
+
+/// Submit `diagram` with one override on a one-shard server: the
+/// session must end `Failed` with a reason naming `value`, and the
+/// next session on the same shard must complete.
+fn refused_override_then_healthy(diagram: Diagram, o: LaneOverride, value: &str) {
+    let server = Server::start(ServeConfig { shards: 1, ..small_config() });
+    let bad = SessionSpec::new("t", diagram, DT, 16).probe_all().with_override(o);
+    let r = server.submit(bad).unwrap().join_deadline(JOIN).unwrap();
+    match &r.outcome {
+        SessionOutcome::Failed(why) => assert!(why.contains(value), "{why}"),
+        other => panic!("expected the override to be refused, got {other:?}"),
+    }
+    let healthy = SessionSpec::new("t", chain(1.5), DT, 16).probe_all();
+    let r = server.submit(healthy).unwrap().join_deadline(JOIN).unwrap();
+    assert_eq!(r.outcome, SessionOutcome::Completed);
+    assert_eq!(r.trajectory, reference(chain(1.5), 16));
+    let stats = server.shutdown();
+    assert_eq!((stats.counters.failed, stats.counters.completed), (1, 1));
+}
+
+#[test]
+fn an_empty_saturation_override_fails_its_session_and_the_shard_keeps_serving() {
+    use peert_model::library::nonlinear::Saturation;
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
+    let sat = d.add("sat", Saturation::new(-0.5, 1.0).unwrap()).unwrap();
+    d.connect((s, 0), (sat, 0)).unwrap();
+    // lo = 5 above hi = 1 would panic the clamp
+    refused_override_then_healthy(d, LaneOverride::Param { block: sat, index: 0, value: 5.0 }, "5");
+}
+
+#[test]
+fn a_transfer_function_length_override_fails_its_session_and_the_shard_keeps_serving() {
+    use peert_model::library::discrete::DiscreteTransferFcn;
+    let mut d = Diagram::new();
+    let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
+    let tf = DiscreteTransferFcn::new(DT, vec![0.5, 0.5], vec![-0.2]).unwrap();
+    let tf = d.add("tf", tf).unwrap();
+    d.connect((s, 0), (tf, 0)).unwrap();
+    // parameter 0 is the numerator length: 9 would index past the window
+    refused_override_then_healthy(d, LaneOverride::Param { block: tf, index: 0, value: 9.0 }, "9");
 }
 
 #[test]

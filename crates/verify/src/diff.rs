@@ -26,7 +26,7 @@ use peert_codegen::{generate_controller, CodegenOptions, TaskImage, TlcRegistry}
 use peert_mcu::McuSpec;
 use peert_model::block::step_block;
 use peert_model::signal::Value;
-use peert_model::{BatchEngine, Engine};
+use peert_model::Engine;
 use peert_pil::packet::{from_sample, to_sample};
 use peert_pil::{ArqConfig, FaultSchedule, LinkKind, PilConfig, PilSession};
 
@@ -80,7 +80,7 @@ pub fn run_mil_case(
 }
 
 /// The "kernel" differential: the reference interpreter, the engine's
-/// kernel tape and a `lanes`-wide [`BatchEngine`] all step the same
+/// kernel tape and a `lanes`-wide [`Engine::with_lanes`] all step the same
 /// spec in lockstep, and every output port of every block must be
 /// bit-identical across all three at every step (each batch lane
 /// individually). Also demands the tape lowered every block (zero
@@ -98,12 +98,12 @@ pub fn run_kernel_case(spec: &DiagramSpec, steps: u64, lanes: usize) -> Result<(
     let batch_d = spec.build()?;
     let ids: Vec<_> = batch_d.ids().collect();
     let ports: Vec<usize> = ids.iter().map(|&id| batch_d.block(id).ports().outputs).collect();
-    let mut batch =
-        BatchEngine::new(&batch_d, spec.dt, lanes).map_err(|e| format!("batch: {e:?}"))?;
+    let mut batch = Engine::with_lanes(batch_d, spec.dt, lanes, None)
+        .map_err(|e| format!("batch: {e:?}"))?;
     for step in 0..steps {
         interp.step();
         comp.step().map_err(|e| format!("compiled step {step}: {e:?}"))?;
-        batch.step();
+        batch.step().map_err(|e| format!("batched step {step}: {e:?}"))?;
         for (i, &id) in ids.iter().enumerate() {
             for port in 0..ports[i] {
                 let iv = interp.probe(id, port);
@@ -116,7 +116,7 @@ pub fn run_kernel_case(spec: &DiagramSpec, steps: u64, lanes: usize) -> Result<(
                     ));
                 }
                 for lane in 0..lanes {
-                    let bv = batch.probe(lane, (id, port));
+                    let bv = batch.probe_lane(lane, (id, port));
                     if value_bits(bv) != value_bits(iv) {
                         return Err(format!(
                             "step {step}, block #{}, port {port}, lane {lane}: \

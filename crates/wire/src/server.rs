@@ -564,6 +564,24 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_integrator_limit_interval_is_rejected_before_it_reaches_a_shard() {
+        let block = BlockSpec::DiscreteIntegrator { period: 1e-3, lo: 1.0, hi: 0.0 };
+        rejected_invalid_then_healthy(one_block(block, 1e-3));
+        let block = BlockSpec::DiscreteIntegrator { period: 1e-3, lo: f64::NAN, hi: 0.0 };
+        rejected_invalid_then_healthy(one_block(block, 1e-3));
+    }
+
+    #[test]
+    fn a_block_wider_than_one_frame_can_wire_is_rejected_before_it_reaches_a_shard() {
+        // one input past the bound: the plan would size a per-input
+        // table for every one of them
+        let inputs = peert_model::spec::MAX_BLOCK_INPUTS + 1;
+        rejected_invalid_then_healthy(one_block(BlockSpec::Product { inputs }, 1e-3));
+        let block = BlockSpec::MinMax { is_max: true, inputs };
+        rejected_invalid_then_healthy(one_block(block, 1e-3));
+    }
+
+    #[test]
     fn an_infinite_dt_is_rejected_before_it_reaches_a_shard() {
         let spec = one_block(BlockSpec::RateLimiter { rate: 0.0 }, f64::INFINITY);
         rejected_invalid_then_healthy(spec);

@@ -37,13 +37,14 @@ run cargo bench --no-run --workspace --offline
 # the disabled-tracer cost of the tape's step loop), including under the
 # peert-trace `off` feature
 run cargo bench --no-run --bench trace_overhead -p peert-bench --offline
-# same for the one-engine-vs-batched-lanes bench (acceptance gate on the
+# same for the one-lane-vs-8-lane Engine bench (acceptance gate on the
 # per-lane cost of the kernel tape, recorded in BENCH_kernel.json)
 run cargo bench --no-run --bench kernel_batch_vs_solo -p peert-bench --offline
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# cheap perf smoke: over 2k steps of the 400-block chain a batched lane
-# must not be slower than one engine (the full numbers are E16)
+# cheap perf smoke: over 2k steps of the 400-block chain one lane of a
+# multi-lane Engine must not be slower than a one-lane Engine (the full
+# numbers are E16)
 run env KERNEL_SMOKE=1 cargo test --release -q -p peert-bench --test kernel_smoke --offline
 
 # asserted integration runs: the paper's example walkthroughs carry
@@ -61,9 +62,13 @@ if [[ "${PIL_SOAK:-0}" == "1" ]]; then
         run env PIL_SOAK=1 cargo test --release --test pil_soak --offline -- --nocapture
 fi
 
-# serving-layer gate: scheduler/admission property tests, plus the
+# serving-layer gate: the in-crate tests (bit-exact gangs, refused
+# per-lane overrides ending their session while the shard keeps
+# serving, one-lane gangs for diagrams with trampoline entries, in-place
+# compaction), the scheduler/admission property tests, plus the
 # coalesced-vs-solo throughput bench staying compilable (the recorded
 # numbers are BENCH_serve.json / E17)
+run cargo test --release -q -p peert-serve --lib --offline
 run cargo test --release -q -p peert-serve --test serve_props --offline
 run cargo bench --no-run --bench serve_throughput -p peert-bench --offline
 
@@ -149,7 +154,8 @@ run cmp /tmp/peert-lint-rules.txt /tmp/peert-lint-rules-pinned.txt
 rm -f /tmp/peert-lint-rules.txt /tmp/peert-lint-rules-pinned.txt
 
 # differential verification suite: kernel tape ≡ reference interpreter
-# (bit-exact), kernel tape ≡ interpreter ≡ every batched lane (bit-exact),
+# (bit-exact), kernel tape ≡ interpreter ≡ every lane of a multi-lane
+# Engine (bit-exact),
 # PIL within the *certified* quantization tolerance (the lint's
 # ErrorCertificate, not a hand-derived bound), fault counters equal to
 # the schedule, ARQ recovery proofs under seeded fault schedules,
