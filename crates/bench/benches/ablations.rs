@@ -1,16 +1,15 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! engine sweep scaling, executive idle-quantum granularity, peripheral
-//! tick batching, and packet codec throughput.
+//! engine sweep scaling, peripheral tick batching, and packet codec
+//! throughput.
 
 use peert_bench::timing::Bench;
-use peert_mcu::board::{vectors, Mcu};
+use peert_mcu::board::Mcu;
 use peert_mcu::{McuCatalog, McuSpec};
 use peert_model::graph::Diagram;
 use peert_model::library::math::Gain;
 use peert_model::library::sources::SineWave;
 use peert_model::Engine;
 use peert_pil::packet::{Packet, PacketParser};
-use peert_rtexec::Executive;
 
 /// How the fixed-step sweep scales with the number of blocks — the cost of
 /// the per-block dynamic dispatch + wire copying design.
@@ -28,27 +27,6 @@ fn engine_scaling() {
         bench = bench.case(n.to_string(), move || {
             e.step().unwrap();
             e.time()
-        });
-    }
-    bench.run();
-}
-
-/// The executive's idle-quantum trade-off: finer quanta give tighter
-/// dispatch latency bounds but cost simulation throughput.
-fn executive_idle_quantum(spec: &McuSpec) {
-    let mut bench = Bench::new("ablation_idle_quantum");
-    for quantum in [5u64, 20, 200] {
-        bench = bench.case(quantum.to_string(), move || {
-            let mut mcu = Mcu::new(spec);
-            mcu.intc.configure(vectors::timer(0), 5);
-            mcu.timers[0].configure(1, 60_000).unwrap();
-            mcu.timers[0].start(0);
-            let mut exec = Executive::new(mcu);
-            exec.attach(vectors::timer(0), "ctl", 3_000, 64, None);
-            exec.set_idle_quantum(quantum);
-            exec.start();
-            exec.run_for_secs(0.05);
-            exec.profile("ctl").unwrap().activations
         });
     }
     bench.run();
@@ -96,7 +74,6 @@ fn packet_codec() {
 fn main() {
     let spec = McuCatalog::standard().find("MC56F8367").unwrap().clone();
     engine_scaling();
-    executive_idle_quantum(&spec);
     mcu_tick_batching(&spec);
     packet_codec();
 }

@@ -10,7 +10,7 @@
 
 use crate::servo::{
     build_controller, build_servo_model, pil_controller, servo_project, ControllerArithmetic,
-    ServoOptions,
+    ServoModel, ServoOptions,
 };
 use crate::target_peert::{BuildOutput, PeertTarget};
 use crate::target_pil::PilTarget;
@@ -125,10 +125,24 @@ fn lint_gate(opts: &ServoOptions, cpu: &str) -> Result<(), String> {
 
 /// Phase 1 — MIL: simulate the single model for `t_end` seconds.
 pub fn run_mil(opts: &ServoOptions, t_end: f64) -> Result<MilResult, String> {
-    let mut model = build_servo_model(opts)?;
+    simulate_mil(&mut build_servo_model(opts)?, opts, t_end)
+}
+
+/// Run a built servo model for `t_end` seconds and move its two scope
+/// logs out of it: each is sized for the whole run before the first
+/// step, and the caller keeps the model only for its engine.
+fn simulate_mil(
+    model: &mut ServoModel,
+    opts: &ServoOptions,
+    t_end: f64,
+) -> Result<MilResult, String> {
+    // each scope logs one sample per engine step
+    let steps = (t_end / model.engine.dt()).ceil() as usize;
+    lock(&model.speed_log).reserve(steps);
+    lock(&model.duty_log).reserve(steps);
     model.run(t_end)?;
-    let speed = lock(&model.speed_log).clone();
-    let duty = lock(&model.duty_log).clone();
+    let speed = std::mem::take(&mut *lock(&model.speed_log));
+    let duty = std::mem::take(&mut *lock(&model.duty_log));
     let plateau = opts.setpoint.abs_max();
     let t0 = opts
         .setpoint
@@ -421,17 +435,7 @@ pub fn run_development_cycle_traced(
     wf.begin(mil_id, ts);
     let mut model = build_servo_model(opts)?;
     model.engine.enable_trace(1 << 12);
-    model.run(t_end)?;
-    let speed = lock(&model.speed_log).clone();
-    let duty = lock(&model.duty_log).clone();
-    let plateau = opts.setpoint.abs_max();
-    let t0 = opts
-        .setpoint
-        .breakpoints()
-        .first()
-        .map_or(0.0, |&(t, _)| t);
-    let metrics = StepMetrics::from_response(&speed.t, &speed.y, plateau, t0);
-    let mil = MilResult { speed, duty, metrics };
+    let mil = simulate_mil(&mut model, opts, t_end)?;
     let ts = wf.now();
     wf.end(mil_id, ts);
 
@@ -566,6 +570,11 @@ mod tests {
         assert!(mil.speed.len() > 100);
         assert!(mil.metrics.rise_time > 0.0);
         assert!(mil.metrics.steady_state_error.abs() < 3.0);
+        // both logs were sized for the run up front, never regrown
+        for log in [&mil.speed, &mil.duty] {
+            assert!(log.t.capacity() - log.len() <= 1, "{} of {}", log.t.capacity(), log.len());
+            assert!(log.y.capacity() - log.len() <= 1, "{} of {}", log.y.capacity(), log.len());
+        }
     }
 
     #[test]

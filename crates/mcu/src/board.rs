@@ -138,6 +138,20 @@ impl Mcu {
     pub fn advance(&mut self, cycles: Cycles) {
         self.advance_to(self.now + cycles);
     }
+
+    /// The earliest [`Peripheral::next_event`] on the chip, or `None`
+    /// while no peripheral can post an interrupt request: until then no
+    /// [`Mcu::advance_to`] posts one, and no request can appear except
+    /// one posted from outside.
+    pub fn next_event(&self) -> Option<Cycles> {
+        let timers = self.timers.iter().map(Peripheral::next_event);
+        let adcs = self.adcs.iter().map(Peripheral::next_event);
+        let pwms = self.pwms.iter().map(Peripheral::next_event);
+        let ports = self.ports.iter().map(Peripheral::next_event);
+        let qdecs = self.qdecs.iter().map(Peripheral::next_event);
+        let scis = self.scis.iter().map(Peripheral::next_event);
+        timers.chain(adcs).chain(pwms).chain(ports).chain(qdecs).chain(scis).flatten().min()
+    }
 }
 
 /// The development board: an [`Mcu`] plus its off-chip wiring.

@@ -178,6 +178,10 @@ impl Peripheral for Adc {
             };
         }
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        self.busy_until
+    }
 }
 
 #[cfg(test)]

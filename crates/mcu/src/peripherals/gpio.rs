@@ -147,6 +147,10 @@ impl Peripheral for GpioPort {
     fn tick(&mut self, _from: Cycles, _to: Cycles, _irq: &mut InterruptController) {
         // level changes are event-driven through `drive_input`
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -29,4 +29,12 @@ pub trait Peripheral {
     /// Advance from absolute cycle `from` (exclusive) to `to` (inclusive),
     /// posting any interrupt requests with their exact assert times.
     fn tick(&mut self, from: Cycles, to: Cycles, irq: &mut InterruptController);
+
+    /// The next absolute cycle at which `tick` may post an interrupt
+    /// request (a rollover, reload, completion or arrival with its
+    /// interrupt enabled), or `None` while none can come. No `tick` over
+    /// a window ending before it posts a request, and `tick` is exact
+    /// over any window, so a caller may cross any stretch up to it in
+    /// one window.
+    fn next_event(&self) -> Option<Cycles>;
 }

@@ -173,6 +173,12 @@ impl Peripheral for Pwm {
             self.next_reload += period;
         }
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        // a reload without its interrupt only moves `reloads` and
+        // `next_reload`, which `tick` catches up over any window
+        (self.enabled && self.reload_irq).then_some(self.next_reload)
+    }
 }
 
 #[cfg(test)]
@@ -268,5 +274,18 @@ mod tests {
         }
         assert_eq!(times, vec![3000, 6000, 9000, 12000]);
         assert_eq!(p.reloads(), 4);
+    }
+
+    #[test]
+    fn only_an_interrupting_reload_is_an_event() {
+        let mut p = pwm();
+        assert_eq!(p.next_event(), None, "stopped");
+        p.enable(0);
+        assert_eq!(p.next_event(), None, "a reload without its interrupt posts nothing");
+        let mut irq = InterruptController::new();
+        p.tick(0, 10_000, &mut irq);
+        assert_eq!(p.reloads(), 3, "one window catches the reloads up");
+        p.set_reload_irq(true);
+        assert_eq!(p.next_event(), Some(12_000));
     }
 }

@@ -127,6 +127,10 @@ impl Peripheral for QuadDecoder {
     fn tick(&mut self, _from: Cycles, _to: Cycles, _irq: &mut InterruptController) {
         // edges are event-driven via `set_shaft_angle`
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -242,6 +242,15 @@ impl Peripheral for Sci {
             }
         }
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        // `tick` delivers inbound bytes in queue order, so the front's
+        // arrival is the next receive-side request; a side whose
+        // interrupt is off only moves bytes, which `tick` catches up
+        let tx = self.tx_busy_until.filter(|_| self.tx_irq);
+        let rx = self.rx_inflight.front().filter(|_| self.rx_irq).map(|&(_, at)| at);
+        tx.into_iter().chain(rx).min()
+    }
 }
 
 #[cfg(test)]
@@ -380,5 +389,20 @@ mod tests {
         assert!(slow.byte_time_cycles() > 10 * fast.byte_time_cycles());
         // keep `fast` mutable-used
         fast.send(0, 0);
+    }
+
+    #[test]
+    fn only_a_side_with_its_interrupt_on_reports_events() {
+        let mut s = sci();
+        let bt = s.byte_time_cycles();
+        s.send(0x11, 0);
+        s.inject_rx(0x22, 5 * bt);
+        assert_eq!(s.next_event(), None, "both interrupts off");
+        s.set_irqs(true, false);
+        assert_eq!(s.next_event(), Some(5 * bt), "receive side only");
+        s.set_irqs(false, true);
+        assert_eq!(s.next_event(), Some(bt), "transmit side only");
+        s.set_irqs(true, true);
+        assert_eq!(s.next_event(), Some(bt), "the earlier of the two");
     }
 }

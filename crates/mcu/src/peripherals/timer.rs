@@ -78,6 +78,10 @@ impl Peripheral for Timer {
             self.next_event += period;
         }
     }
+
+    fn next_event(&self) -> Option<Cycles> {
+        self.enabled.then_some(self.next_event)
+    }
 }
 
 #[cfg(test)]

@@ -52,6 +52,11 @@ pub enum SimError {
     /// the block, which lanes cannot share. Only a request for more than
     /// one lane returns this.
     Kernel(crate::kernel::KernelError),
+    /// The fundamental step is not a finite positive number of seconds.
+    InvalidStep {
+        /// The refused step.
+        dt: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -60,6 +65,9 @@ impl std::fmt::Display for SimError {
             SimError::Graph(g) => write!(f, "{g}"),
             SimError::EventStorm { t } => write!(f, "event livelock at t={t}"),
             SimError::Kernel(k) => write!(f, "{k}"),
+            SimError::InvalidStep { dt } => {
+                write!(f, "fundamental step {dt} s is not finite and positive")
+            }
         }
     }
 }
@@ -69,6 +77,16 @@ impl std::error::Error for SimError {}
 impl From<GraphError> for SimError {
     fn from(e: GraphError) -> Self {
         SimError::Graph(e)
+    }
+}
+
+/// Refuse a fundamental step that is not finite and positive: an
+/// infinite one would reach the kernels as `0 · inf = NaN` bounds.
+fn check_step(dt: f64) -> Result<(), SimError> {
+    if dt.is_finite() && dt > 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidStep { dt })
     }
 }
 
@@ -289,7 +307,9 @@ impl Engine {
     /// keyed by [`Diagram::fingerprint`] plus the lowered specs. The tape
     /// caches the blocks' `ports()` and `sample()` metadata and every
     /// lowered block's parameters, so a structural or parameter change
-    /// needs a new engine.
+    /// needs a new engine. A `dt` that is not finite and positive is
+    /// refused with [`SimError::InvalidStep`], here and in every other
+    /// constructor.
     pub fn new(diagram: Diagram, dt: f64) -> Result<Self, SimError> {
         Self::with_cache(diagram, dt, &mut crate::lock(global_cache()))
     }
@@ -332,7 +352,7 @@ impl Engine {
         fold: bool,
         cache: &mut PlanCache,
     ) -> Result<Self, SimError> {
-        assert!(dt > 0.0, "fundamental step must be positive");
+        check_step(dt)?;
         let order = diagram.sorted_order()?;
         let (tape, cache_hit) = cache
             .get_or_compile(&diagram, &order, dt, fold, lanes == 1)
@@ -345,7 +365,7 @@ impl Engine {
     /// removal proof drives. Bypasses the plan cache (pruned tapes are
     /// diagram-specific).
     pub fn compiled_pruned(diagram: Diagram, dt: f64, dead: &[usize]) -> Result<Self, SimError> {
-        assert!(dt > 0.0, "fundamental step must be positive");
+        check_step(dt)?;
         let order = diagram.sorted_order()?;
         let tape = crate::kernel::compile(&diagram, &order, dt, dead, true);
         Ok(Self::from_tape(diagram, dt, Arc::new(tape), false, 1))
@@ -981,5 +1001,33 @@ mod tests {
         let second = record(&mut e);
         assert_eq!(first, second, "reused plan reproduces the trajectory exactly");
         assert_eq!(e.triggered_execs(), execs);
+    }
+
+    /// A step that is infinite, NaN, zero or negative is refused by every
+    /// constructor. At an infinite step a zero-rate RateLimiter used to be
+    /// accepted and then panic in its slew clamp (`0 · inf = NaN`).
+    #[test]
+    fn a_non_finite_or_non_positive_step_is_refused_at_construction() {
+        use crate::library::nonlinear::RateLimiter;
+        use crate::library::sources::Constant;
+        let diagram = || {
+            let mut d = Diagram::new();
+            let c = d.add("c", Constant::new(1.0)).unwrap();
+            let r = d.add("r", RateLimiter::new(0.0).unwrap()).unwrap();
+            d.connect((c, 0), (r, 0)).unwrap();
+            d
+        };
+        for dt in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+            let refused = |e: Result<Engine, SimError>| {
+                matches!(e, Err(SimError::InvalidStep { dt: got }) if got.to_bits() == dt.to_bits())
+            };
+            assert!(refused(Engine::new(diagram(), dt)), "new at {dt}");
+            let mut cache = PlanCache::new(4);
+            assert!(refused(Engine::with_cache(diagram(), dt, &mut cache)), "with_cache at {dt}");
+            assert!(refused(Engine::with_lanes(diagram(), dt, 2, None)), "with_lanes at {dt}");
+            assert!(refused(Engine::compiled_pruned(diagram(), dt, &[])), "pruned at {dt}");
+        }
+        let mut e = Engine::new(diagram(), 1e-3).unwrap();
+        e.run_until(0.01).unwrap();
     }
 }

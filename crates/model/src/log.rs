@@ -23,6 +23,13 @@ impl SignalLog {
         self.y.push(y);
     }
 
+    /// Make room for `additional` more samples, so a run of known
+    /// length appends without regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.t.reserve(additional);
+        self.y.reserve(additional);
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.t.len()

@@ -56,7 +56,13 @@ impl Block for Outport {
 pub struct Subsystem {
     diagram: Diagram,
     order: Vec<BlockId>,
+    /// Per block of `order`: the `(block, port)` driving each of its
+    /// inputs (`None` = unconnected), resolved once at construction.
+    sources: Vec<Vec<Option<(usize, usize)>>>,
     values: Vec<Vec<Value>>,
+    /// Input and event buffers every inner block call reuses.
+    inputs: Vec<Value>,
+    events: Vec<usize>,
     inports: Vec<BlockId>,
     outports: Vec<BlockId>,
     sample: SampleTime,
@@ -75,7 +81,26 @@ impl Subsystem {
     ) -> Result<Self, GraphError> {
         let order = diagram.sorted_order()?;
         let values = diagram.blocks.iter().map(|b| vec![Value::default(); b.ports().outputs]).collect();
-        Ok(Subsystem { diagram, order, values, inports, outports, sample, executions: 0 })
+        let sources = order
+            .iter()
+            .map(|&BlockId(idx)| {
+                (0..diagram.blocks[idx].ports().inputs)
+                    .map(|p| diagram.wires.get(&(idx, p)).map(|&(src, sp)| (src.0, sp)))
+                    .collect()
+            })
+            .collect();
+        Ok(Subsystem {
+            diagram,
+            order,
+            sources,
+            values,
+            inputs: Vec::new(),
+            events: Vec::new(),
+            inports,
+            outports,
+            sample,
+            executions: 0,
+        })
     }
 
     /// How many times this subsystem executed.
@@ -98,28 +123,23 @@ impl Subsystem {
         &self.outports
     }
 
-    fn gather_inputs(&self, idx: usize) -> Vec<Value> {
-        let n = self.diagram.blocks[idx].ports().inputs;
-        (0..n)
-            .map(|p| {
-                self.diagram
-                    .wires
-                    .get(&(idx, p))
-                    .map(|&(src, sp)| self.values[src.0][sp])
-                    .unwrap_or_default()
-            })
-            .collect()
-    }
-
     fn exec_inner(&mut self, t: f64, dt: f64) {
         for phase_out in [true, false] {
             for k in 0..self.order.len() {
                 let idx = self.order[k].0;
-                let inputs = self.gather_inputs(idx);
-                let mut events = Vec::new();
+                let values = &self.values;
+                self.inputs.clear();
+                self.inputs.extend(
+                    self.sources[k]
+                        .iter()
+                        .map(|s| s.map_or_else(Value::default, |(b, p)| values[b][p])),
+                );
+                // inner blocks' events go nowhere
+                self.events.clear();
                 let mut outputs = std::mem::take(&mut self.values[idx]);
                 {
-                    let mut ctx = BlockCtx::new(t, dt, &inputs, &mut outputs, &mut events);
+                    let mut ctx =
+                        BlockCtx::new(t, dt, &self.inputs, &mut outputs, &mut self.events);
                     if phase_out {
                         self.diagram.blocks[idx].output(&mut ctx);
                     } else {

@@ -38,7 +38,9 @@ pub struct Executive {
     tasks: HashMap<u16, IsrTask>,
     /// Background task burst length in cycles (None = pure idle loop).
     background_burst: Option<Cycles>,
-    /// Dispatch granularity while idle (models the main-loop poll length).
+    /// Dispatch granularity while idle (models the main-loop poll
+    /// length): an idle CPU notices a request at the first poll boundary
+    /// after it is asserted.
     idle_quantum: Cycles,
     profiles: HashMap<String, TaskProfile>,
     idle_cycles: Cycles,
@@ -137,7 +139,13 @@ impl Executive {
         self.started_at = self.mcu.now();
     }
 
-    /// Run the CPU loop until absolute cycle `until`.
+    /// Run the CPU loop until absolute cycle `until` (it stops at the
+    /// first ISR, burst or idle-poll boundary at or after it).
+    ///
+    /// Idle time is event-driven, like `SimBus::advance_next` on the CAN
+    /// bus: the loop jumps from one [`Mcu::next_event`] to the next
+    /// instead of polling every quantum, and lands on exactly the
+    /// instants, request order and cycle counts of the polling loop.
     pub fn run_until(&mut self, until: Cycles) {
         while self.mcu.now() < until {
             let now = self.mcu.now();
@@ -171,8 +179,17 @@ impl Executive {
                 self.mcu.advance(burst);
                 self.background_cycles += burst;
             } else {
-                self.mcu.advance(self.idle_quantum);
-                self.idle_cycles += self.idle_quantum;
+                // Idle: the main loop polls every quantum, but nothing can
+                // be dispatched before the next peripheral event. Cross
+                // all empty polls in one window to the first quantum
+                // boundary at or after that event (or `until`): the same
+                // instant polling reaches, with every event of the window
+                // in its last quantum, as in one poll.
+                let q = self.idle_quantum;
+                let target = self.mcu.next_event().map_or(until, |e| e.min(until));
+                let polls = target.saturating_sub(now).div_ceil(q).max(1);
+                self.mcu.advance(polls * q);
+                self.idle_cycles += polls * q;
             }
         }
     }

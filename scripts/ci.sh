@@ -56,11 +56,16 @@ run cargo run --release -q --example pil_simulation --offline
 run cargo run --release -q --example wire_service --offline
 run cargo run --release -q --example distributed_pil --offline
 
+# zero-noise semantic gate: the repository benchmark's seed-determined
+# simulated counts (PIL cycles per step, ARQ retries and timeouts, CAN
+# frames, arbitration losses, hop retries, worst delivery) at seeds 7
+# and 11 must equal scripts/sim_counts.json exactly
+run python3 scripts/check_sim_counts.py
+
 # long ARQ soak (10^5 faulted steps, exact counter accounting, bit-exact
-# trajectory): opt-in because it adds ~1 min in release
-if [[ "${PIL_SOAK:-0}" == "1" ]]; then
-        run env PIL_SOAK=1 cargo test --release --test pil_soak --offline -- --nocapture
-fi
+# trajectory): under a second in release now that the board's idle
+# time is event-driven, so every run takes it
+run env PIL_SOAK=1 cargo test --release --test pil_soak --offline -- --nocapture
 
 # serving-layer gate: the in-crate tests (bit-exact gangs, refused
 # per-lane overrides ending their session while the shard keeps
@@ -74,7 +79,7 @@ run cargo bench --no-run --bench serve_throughput -p peert-bench --offline
 
 # deterministic service soak (10^3 sessions, 8 tenants, quota exhaustion,
 # cancellations, queue-overflow flood; final counters must equal the
-# schedule-derived expectation exactly): opt-in, mirrors PIL_SOAK
+# schedule-derived expectation exactly): opt-in
 if [[ "${SERVE_SOAK:-0}" == "1" ]]; then
         run env SERVE_SOAK=1 cargo test --release -p peert-serve --test serve_soak --offline -- --nocapture
 fi
@@ -109,7 +114,7 @@ run cargo test --release -q -p peert-bus --test bus_props --offline
 
 # distributed-PIL bus soak (10^5 multi-node steps, one partition window,
 # every counter equal to its schedule-derived expectation, post-recovery
-# trajectory bit-identical to the clean run): opt-in, mirrors PIL_SOAK
+# trajectory bit-identical to the clean run): opt-in
 if [[ "${BUS_SOAK:-0}" == "1" ]]; then
         run env BUS_SOAK=1 cargo test --release --test bus_soak --offline -- --nocapture
 fi
