@@ -23,19 +23,16 @@ fn catalog() -> McuCatalog {
     McuCatalog::standard()
 }
 
-/// Map `f` over `items` in parallel — one engine per configuration —
-/// joining in submit order, so the result vector (and any JSON
-/// serialized from it) is byte-identical to the serial
-/// `items.into_iter().map(f).collect()`. The fan-out rides the serving
-/// layer's generic-job lanes ([`peert_serve::sweep_map`]), which
-/// replaced the hand-rolled scoped-thread pool the sweeps started on.
-fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
-    peert_serve::sweep_map(items, f)
+/// Map `f` over `items` in parallel — one scoped thread and one engine
+/// per configuration (the sweeps have at most seven) — joining in
+/// submit order, so the result vector (and any JSON serialized from
+/// it) is byte-identical to the serial `items.into_iter().map(f).collect()`.
+fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    std::thread::scope(|s| {
+        let cases: Vec<_> = items.into_iter().map(|item| s.spawn(move || f(item))).collect();
+        cases.into_iter().map(|case| case.join().expect("sweep case panicked")).collect()
+    })
 }
 
 fn mc56() -> McuSpec {
@@ -710,7 +707,7 @@ pub fn e11_line_noise(steps: u64) -> Vec<E11Row> {
         .unwrap();
         rows.push(E11Row {
             corruption_prob: p,
-            drop_fraction: stats.dropped_exchanges as f64 / stats.steps as f64,
+            drop_fraction: stats.failed_exchanges as f64 / stats.steps as f64,
             crc_errors: stats.crc_errors,
             rms_vs_mil: speed.rms_diff(&mil.speed),
         });
@@ -1035,7 +1032,7 @@ fn e18_config(sessions: usize) -> peert_serve::ServeConfig {
 /// once through in-process [`peert_serve::Server::submit`] and once
 /// through the framed loopback-TCP front end. Both paths warm the plan
 /// cache first and submit paused, so the per-submission delta is the
-/// codec + socket + forwarder cost and nothing else
+/// codec + socket + connection-writer cost and nothing else
 /// (BENCH_serve.json records it).
 pub fn e18_wire(steps: u64) -> Vec<E18Row> {
     use peert_serve::{Server, SessionOutcome, SessionSpec};

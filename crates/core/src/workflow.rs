@@ -631,7 +631,7 @@ mod tests {
         assert_eq!(stats.steps, 100);
         assert_eq!(stats.crc_errors, faults.corrupt_steps.len() as u64);
         assert_eq!(
-            stats.dropped_exchanges,
+            stats.failed_exchanges,
             (faults.corrupt_steps.len() + faults.drop_steps.len()) as u64
         );
         assert_eq!(stats.deadline_misses, faults.overrun_steps.len() as u64);

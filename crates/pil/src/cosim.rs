@@ -84,7 +84,7 @@ pub enum LinkKind {
 /// * [`PilStats::step_cycles`] include the compute time the board never
 ///   ran;
 /// * one timeout and one failed exchange are counted, so `timeouts ==
-///   failed_exchanges == dropped_exchanges`;
+///   failed_exchanges`;
 /// * no `pil.tx` span is traced;
 /// * only the first fault counts: a step in both `corrupt_steps` and
 ///   `drop_steps` counts one CRC error, because corruption comes first;
@@ -221,9 +221,6 @@ pub struct PilStats {
     pub deadline_misses: u64,
     /// CRC errors seen by the board parser.
     pub crc_errors: u64,
-    /// Exchanges lost on the wire: every attempt was defeated and the
-    /// host held its last output.
-    pub dropped_exchanges: u64,
     /// Scheduler overruns injected by the fault schedule (each one is
     /// also counted as a deadline miss).
     pub injected_overruns: u64,
@@ -232,11 +229,10 @@ pub struct PilStats {
     pub retries: u64,
     /// ARQ reply deadlines that expired. Invariant:
     /// `timeouts == retries + failed_exchanges`, so under
-    /// [`ArqConfig::FIRE_AND_FORGET`] `timeouts == failed_exchanges ==
-    /// dropped_exchanges`.
+    /// [`ArqConfig::FIRE_AND_FORGET`] `timeouts == failed_exchanges`.
     pub timeouts: u64,
-    /// ARQ exchanges that exhausted their retry budget (each is also
-    /// counted in `dropped_exchanges`).
+    /// Exchanges lost on the wire: every attempt was defeated (the ARQ
+    /// retry budget exhausted) and the host held its last output.
     pub failed_exchanges: u64,
     /// Duplicate requests the board replica answered from its reply
     /// cache without re-stepping the controller.
@@ -291,7 +287,7 @@ struct PilTraceIds {
     ctl: EventId,
     crc_ctr: EventId,
     crc_inst: EventId,
-    dropped_ctr: EventId,
+    failed_ctr: EventId,
     overrun_ctr: EventId,
     line_ctr: EventId,
     retry: EventId,
@@ -374,7 +370,7 @@ impl PilSession {
                 ctl: t.register("pil.ctl_step"),
                 crc_ctr: t.register("pil.crc_errors"),
                 crc_inst: t.register("pil.crc_error"),
-                dropped_ctr: t.register("pil.dropped_exchanges"),
+                failed_ctr: t.register("pil.failed_exchanges"),
                 overrun_ctr: t.register("pil.overruns"),
                 line_ctr: t.register("pil.line_cycles"),
                 retry: t.register("pil.retry"),
@@ -732,9 +728,8 @@ impl PilSession {
                     // (§6's redirected-peripheral semantics under line
                     // faults) and let the watchdog judge the link
                     self.stats.failed_exchanges += 1;
-                    self.stats.dropped_exchanges += 1;
                     if let Some(ids) = ids {
-                        self.exec.tracer_mut().add(ids.dropped_ctr, 1);
+                        self.exec.tracer_mut().add(ids.failed_ctr, 1);
                     }
                     // resync the board's gate: no retransmission of this
                     // SEQ follows, and the 8-bit serial-number window
@@ -921,7 +916,7 @@ mod tests {
         };
         let mut s = session(cfg);
         let stats = s.run(200).unwrap();
-        assert!(stats.dropped_exchanges > 0, "noise must bite at 2 %/byte");
+        assert!(stats.failed_exchanges > 0, "noise must bite at 2 %/byte");
         assert!(stats.crc_errors > 0, "drops are CRC-detected, never silent");
         assert_eq!(stats.steps, 200, "the session completes despite the noise");
         // the held-output policy keeps the loop near its fixed point
@@ -939,7 +934,7 @@ mod tests {
                 ..Default::default()
             };
             let mut s = session(cfg);
-            s.run(100).unwrap().dropped_exchanges
+            s.run(100).unwrap().failed_exchanges
         };
         assert_eq!(run(42), run(42), "same seed, same drops");
     }
@@ -948,7 +943,7 @@ mod tests {
     fn clean_line_drops_nothing() {
         let mut s = session(PilConfig { control_period_s: 2e-3, ..Default::default() });
         let stats = s.run(100).unwrap();
-        assert_eq!(stats.dropped_exchanges, 0);
+        assert_eq!(stats.failed_exchanges, 0);
         assert_eq!(stats.crc_errors, 0);
     }
 
@@ -999,10 +994,10 @@ mod tests {
         let stats = s.run(40).unwrap().clone();
         assert_eq!(stats.steps, 40, "the session survives the noise");
         assert_eq!(stats.crc_errors, injected);
-        assert_eq!(stats.dropped_exchanges, injected);
+        assert_eq!(stats.failed_exchanges, injected);
         let tracer = s.executive().tracer();
         assert_eq!(tracer.counter_by_name("pil.crc_errors"), Some(injected));
-        assert_eq!(tracer.counter_by_name("pil.dropped_exchanges"), Some(injected));
+        assert_eq!(tracer.counter_by_name("pil.failed_exchanges"), Some(injected));
         let crc_instants = tracer
             .records()
             .filter(|r| {
@@ -1036,17 +1031,16 @@ mod tests {
         assert_eq!(stats.steps, 30);
         assert_eq!(stats.crc_errors, faults.corrupt_steps.len() as u64);
         assert_eq!(
-            stats.dropped_exchanges,
+            stats.failed_exchanges,
             (faults.corrupt_steps.len() + faults.drop_steps.len()) as u64
         );
         assert_eq!(stats.deadline_misses, faults.overrun_steps.len() as u64);
         assert_eq!(stats.injected_overruns, faults.overrun_steps.len() as u64);
         // fire-and-forget: every lost exchange is one expired deadline
         assert_eq!(stats.timeouts, stats.failed_exchanges);
-        assert_eq!(stats.failed_exchanges, stats.dropped_exchanges);
         let tracer = s.executive().tracer();
         assert_eq!(tracer.counter_by_name("pil.crc_errors"), Some(3));
-        assert_eq!(tracer.counter_by_name("pil.dropped_exchanges"), Some(5));
+        assert_eq!(tracer.counter_by_name("pil.failed_exchanges"), Some(5));
         assert_eq!(tracer.counter_by_name("pil.overruns"), Some(4));
         // the controller ran on every step whose exchange completed
         assert_eq!(s.ctl_profile().activations, 30 - 5);
@@ -1134,7 +1128,7 @@ mod tests {
             stats
         };
         let clean = run(FaultSchedule::default());
-        assert_eq!((clean.retries, clean.timeouts, clean.dropped_exchanges), (0, 0, 0));
+        assert_eq!((clean.retries, clean.timeouts, clean.failed_exchanges), (0, 0, 0));
         // step 7 eats 3 corruptions (the full budget); 12 and 13 one drop
         // each; 20 loses two replies; 25 one of each kind
         let faults = FaultSchedule {
@@ -1151,8 +1145,7 @@ mod tests {
         assert_eq!(faulted.timeouts, total, "every defeated attempt timed out");
         assert_eq!(faulted.crc_errors, 4);
         assert_eq!(faulted.duplicate_replies, 3, "lost replies answered from cache");
-        assert_eq!(faulted.failed_exchanges, 0);
-        assert_eq!(faulted.dropped_exchanges, 0, "nothing was lost for good");
+        assert_eq!(faulted.failed_exchanges, 0, "nothing was lost for good");
         assert_eq!(faulted.degraded_steps, 0);
         assert_eq!(faulted.degraded_at_step, None);
         assert_eq!(faulted.deadline_misses, 0, "recovery fits inside the period");
@@ -1201,7 +1194,7 @@ mod tests {
         let controller: ControllerFn = Box::new(|s: &[f64]| vec![(0.5 - s[0]).clamp(0.0, 0.9)]);
         let mut s = PilSession::new(&spec(), &image(), cfg, controller, recording).unwrap();
         let stats = s.run(300).unwrap().clone();
-        assert_eq!((stats.dropped_exchanges, stats.failed_exchanges, stats.timeouts), (200, 200, 200));
+        assert_eq!((stats.failed_exchanges, stats.timeouts), (200, 200));
         assert_eq!((stats.duplicate_replies, stats.retries), (0, 0));
         assert_eq!(s.ctl_profile().activations, 100);
         assert!(!s.is_degraded());
@@ -1231,7 +1224,6 @@ mod tests {
         let stats = s.run(30).unwrap().clone();
         assert_eq!(stats.steps, 30, "a degraded session still completes");
         assert_eq!(stats.failed_exchanges, 3);
-        assert_eq!(stats.dropped_exchanges, 3);
         assert_eq!(stats.degraded_at_step, Some(8), "fallback owns the step after the trip");
         assert_eq!(stats.degraded_steps, 30 - 8);
         assert_eq!(stats.timeouts, stats.retries + stats.failed_exchanges);
@@ -1311,7 +1303,7 @@ mod tests {
         // 29 channels: 5 + 2·29 = 63 bytes per frame, within the FIFO
         let mut s = build(29, 29).unwrap();
         let stats = s.run(10).unwrap().clone();
-        assert_eq!((stats.steps, stats.crc_errors, stats.dropped_exchanges), (10, 0, 0));
+        assert_eq!((stats.steps, stats.crc_errors, stats.failed_exchanges), (10, 0, 0));
         assert_eq!(s.ctl_profile().activations, 10);
         // 30 channels: a 65-byte frame never fits the 64-byte FIFO whole
         for (sensors, actuations) in [(30, 1), (1, 30)] {

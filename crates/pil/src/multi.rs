@@ -648,6 +648,12 @@ impl MultiPilSession {
                 for hop in 0..h {
                     self.dogs[hop].record_success();
                 }
+                // resync the gates from the failed hop on, as PilSession
+                // does: no retransmission of this SEQ follows, and the
+                // 8-bit SEQ window cannot span a long outage
+                for gate in &mut self.gates[h..] {
+                    *gate = ReplicaGate::new();
+                }
                 if self.dogs[h].record_failure() == LinkHealth::Degraded {
                     self.degraded = true;
                 }
@@ -1069,6 +1075,24 @@ mod tests {
         let replica = replica_trajectory(steps);
         assert_eq!(st.trajectory[..4], replica[..4]);
         assert_eq!(st.trajectory[6..], replica[6..]);
+    }
+
+    #[test]
+    fn a_partition_longer_than_the_seq_window_realigns_after_rejoin() {
+        let mut c = cfg();
+        // 200 failed steps, no watchdog trip: the SEQ wraps meanwhile
+        c.arq.watchdog_failures = 1_000;
+        c.partitions = vec![StepPartition { node: 3, from_step: 4, until_step: 204 }];
+        let mut s = MultiPilSession::new(three_nodes(), stages(), c, plant()).unwrap();
+        let steps = 300u64;
+        s.run(steps);
+        let st = s.stats();
+        assert!(!s.is_degraded());
+        assert_eq!(st.failed_steps, 200);
+        assert_eq!(st.stale_frames, 0);
+        let replica = replica_trajectory(steps);
+        assert_eq!(st.trajectory[..4], replica[..4]);
+        assert_eq!(st.trajectory[204..], replica[204..]);
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!   async runtime) advance each gang one quantum of steps per round,
 //!   highest priority first, so a long session can't starve the rest
 //!   and cancellation latency is bounded by one quantum;
-//! * **streaming** ([`SessionHandle`]): probe values stream back in
-//!   chunks over a per-session channel; cancellation takes effect at
-//!   the next quantum boundary;
+//! * **streaming** ([`Sink`]): a shard hands each session's chunks of
+//!   probe values, then its `Done`, to one sink its submitter supplied:
+//!   a channel behind [`SessionHandle`] for [`Server::submit`], the
+//!   caller's own for [`Server::submit_with`]. Cancellation takes
+//!   effect at the next quantum boundary, and a gang that panics ends
+//!   its sessions `Failed` while the shard keeps serving;
 //! * **observability** ([`ServeStats`]): deterministic JSON
 //!   snapshot (quota/backpressure/batching counters, plan-cache
 //!   hit/miss/eviction, live queue depths) mirrored as `serve.*` /
@@ -43,14 +46,12 @@ mod server;
 mod session;
 mod shard;
 mod stats;
-mod sweep;
 #[cfg(test)]
 mod tests;
 
 pub use server::{route_shard, ServeConfig, Server};
 pub use session::{
     all_ports, CancelToken, LaneOverride, Reject, SessionEvent, SessionHandle, SessionOutcome,
-    SessionResult, SessionSpec,
+    SessionResult, SessionSpec, Sink,
 };
 pub use stats::{PlanCacheStats, ServeCounters, ServeStats, ShardStats};
-pub use sweep::sweep_map;

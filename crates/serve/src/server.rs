@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 
 use peert_model::{lock, lowering_digest, Diagram, PlanCache};
 
-use crate::session::{Reject, SessionHandle, SessionSpec, SessionTask};
+use crate::session::{CancelToken, Reject, SessionHandle, SessionSpec, SessionTask, Sink};
 use crate::shard::{run_shard, ShardMsg};
 use crate::stats::{PlanCacheStats, ServeCounters, ServeStats, ShardState};
 
@@ -23,9 +23,10 @@ pub struct ServeConfig {
     /// Bounded per-shard queue capacity; a full queue rejects with
     /// [`Reject::Backpressure`] instead of blocking.
     pub queue_cap: usize,
-    /// Max *unreaped* sessions per tenant (admitted, handle still
-    /// alive). Counting until the client reaps keeps over-quota
-    /// rejection deterministic under test schedules.
+    /// Max *unreaped* sessions per tenant: admitted and either still
+    /// holding a [`SessionHandle`] or, for [`Server::submit_with`],
+    /// not yet delivered `Done`. Counting until the client reaps keeps
+    /// over-quota rejection deterministic under test schedules.
     pub tenant_quota: usize,
     /// Max lanes per gang engine (gang width).
     pub max_lanes: usize,
@@ -60,7 +61,7 @@ impl Default for ServeConfig {
 }
 
 /// State shared between the admission front-end, the shard workers and
-/// live [`SessionHandle`]s.
+/// held quota slots.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) counters: Mutex<ServeCounters>,
@@ -74,7 +75,6 @@ pub(crate) struct Shared {
     paused: AtomicBool,
     closed: AtomicBool,
     seq: AtomicU64,
-    job_rr: AtomicU64,
 }
 
 impl Shared {
@@ -90,13 +90,21 @@ impl Shared {
     pub(crate) fn is_paused(&self) -> bool {
         self.paused.load(Ordering::Acquire)
     }
+}
 
-    pub(crate) fn release_tenant(&self, tenant: &str) {
-        let mut t = lock(&self.tenants);
-        if let Some(n) = t.get_mut(tenant) {
+/// One unit of a tenant's quota, given back when dropped.
+pub(crate) struct QuotaSlot {
+    pub(crate) tenant: String,
+    shared: Arc<Shared>,
+}
+
+impl Drop for QuotaSlot {
+    fn drop(&mut self) {
+        let mut t = lock(&self.shared.tenants);
+        if let Some(n) = t.get_mut(&self.tenant) {
             *n -= 1;
             if *n == 0 {
-                t.remove(tenant);
+                t.remove(&self.tenant);
             }
         }
     }
@@ -163,7 +171,6 @@ impl Server {
             paused: AtomicBool::new(start_paused),
             closed: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            job_rr: AtomicU64::new(0),
         });
         let mut txs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -181,8 +188,40 @@ impl Server {
         Server { shared, txs, workers }
     }
 
-    /// Admit a session or reject it with a reason. Never blocks.
+    /// Admit a session or reject it with a reason. Never blocks. The
+    /// session's events stream to the returned handle, which holds the
+    /// tenant's quota slot until it is dropped or joined.
     pub fn submit(&self, spec: SessionSpec) -> Result<SessionHandle, Reject> {
+        let (tx, events) = channel();
+        let sink: Sink = Box::new(move |event| {
+            let _ = tx.send(event);
+        });
+        let (id, cancel, slot) = self.admit(spec, |_| sink, true)?;
+        let slot = slot.expect("a handle session returns its quota slot");
+        Ok(SessionHandle { id, events, cancel, slot })
+    }
+
+    /// Admit a session whose events go to the sink `make_sink` builds
+    /// from the session id, or reject it with a reason. Never blocks.
+    /// The shard releases the quota slot just before it delivers
+    /// `Done`. Returns the session id and its cancellation token.
+    pub fn submit_with(
+        &self,
+        spec: SessionSpec,
+        make_sink: impl FnOnce(u64) -> Sink,
+    ) -> Result<(u64, CancelToken), Reject> {
+        let (id, cancel, _) = self.admit(spec, make_sink, false)?;
+        Ok((id, cancel))
+    }
+
+    /// The one admission body. The quota slot goes back to the caller
+    /// when `handle_holds_slot`, else it rides with the task.
+    fn admit(
+        &self,
+        spec: SessionSpec,
+        make_sink: impl FnOnce(u64) -> Sink,
+        handle_holds_slot: bool,
+    ) -> Result<(u64, CancelToken, Option<QuotaSlot>), Reject> {
         let mut c = lock(&self.shared.counters);
         c.submitted += 1;
         drop(c);
@@ -236,10 +275,13 @@ impl Server {
             }
             *n += 1;
         }
+        // from here on, dropping the slot gives the quota back
+        let slot = QuotaSlot { tenant: spec.tenant, shared: Arc::clone(&self.shared) };
+        let (task_slot, handle_slot) =
+            if handle_holds_slot { (None, Some(slot)) } else { (Some(slot), None) };
 
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel();
-        let cancel = Arc::new(AtomicBool::new(false));
+        let cancel = CancelToken::default();
         let fingerprint = spec.diagram.fingerprint();
         let task = SessionTask {
             seq,
@@ -251,62 +293,27 @@ impl Server {
             priority: spec.priority,
             digest,
             fingerprint,
-            cancel: Arc::clone(&cancel),
-            tx,
+            cancel: cancel.clone(),
+            sink: Some(make_sink(seq)),
+            slot: task_slot,
         };
-        let tenant = spec.tenant;
         self.shared.queued[shard].fetch_add(1, Ordering::AcqRel);
         let sent = self.txs[shard].try_send(ShardMsg::Session(Box::new(task)));
         if sent.is_err() {
             self.shared.queued[shard].fetch_sub(1, Ordering::AcqRel);
         }
+        // a refused task gives its quota slot back as it drops
         match sent {
             Ok(()) => {
                 lock(&self.shared.counters).accepted += 1;
-                Ok(SessionHandle {
-                    id: seq,
-                    tenant,
-                    events: rx,
-                    cancel,
-                    shared: Arc::clone(&self.shared),
-                })
+                Ok((seq, cancel, handle_slot))
             }
-            Err(TrySendError::Full(_)) => {
-                self.shared.release_tenant(&tenant);
-                Err(self.count_reject(Reject::Backpressure {
-                    shard,
-                    cap: self.shared.config.queue_cap.max(1),
-                }))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.shared.release_tenant(&tenant);
-                Err(self.count_reject(Reject::ShuttingDown))
-            }
+            Err(TrySendError::Full(_)) => Err(self.count_reject(Reject::Backpressure {
+                shard,
+                cap: self.shared.config.queue_cap.max(1),
+            })),
+            Err(TrySendError::Disconnected(_)) => Err(self.count_reject(Reject::ShuttingDown)),
         }
-    }
-
-    /// Enqueue a generic job (experiment sweeps ride the same shards
-    /// as sessions). Round-robin routed; blocks if the target queue is
-    /// full (jobs are trusted in-process work, not tenant traffic).
-    /// Returns false once the server is shutting down.
-    pub fn submit_job(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        if self.shared.closed.load(Ordering::Acquire) {
-            return false;
-        }
-        let shard =
-            (self.shared.job_rr.fetch_add(1, Ordering::Relaxed) % self.txs.len() as u64) as usize;
-        lock(&self.shared.counters).jobs += 1;
-        self.send(shard, ShardMsg::Job(Box::new(job)))
-    }
-
-    /// Blocking send to `shard`, counted in its queue depth.
-    fn send(&self, shard: usize, msg: ShardMsg) -> bool {
-        self.shared.queued[shard].fetch_add(1, Ordering::AcqRel);
-        let ok = self.txs[shard].send(msg).is_ok();
-        if !ok {
-            self.shared.queued[shard].fetch_sub(1, Ordering::AcqRel);
-        }
-        ok
     }
 
     /// Pause scheduling: workers stop draining their queues and
@@ -344,7 +351,7 @@ impl Server {
         ServeStats { counters, plan_cache, shards }
     }
 
-    /// Stop admission, drain every admitted session/job to completion
+    /// Stop admission, drain every admitted session to completion
     /// and join the workers. Returns the final snapshot.
     pub fn shutdown(mut self) -> ServeStats {
         self.shutdown_inner();
@@ -354,10 +361,13 @@ impl Server {
     fn shutdown_inner(&mut self) {
         self.shared.closed.store(true, Ordering::Release);
         self.resume(); // a paused worker can't drain a full queue
-        for shard in 0..self.txs.len() {
+        for (tx, queued) in self.txs.iter().zip(&self.shared.queued) {
             // a full queue drains as workers absorb it; blocking send
             // is fine here because the workers are running
-            self.send(shard, ShardMsg::Shutdown);
+            queued.fetch_add(1, Ordering::AcqRel);
+            if tx.send(ShardMsg::Shutdown).is_err() {
+                queued.fetch_sub(1, Ordering::AcqRel);
+            }
         }
         for w in self.workers.drain(..) {
             let _ = w.join();

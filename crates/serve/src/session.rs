@@ -1,14 +1,14 @@
 //! Session-facing types: what a client submits, what it gets back.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use peert_model::graph::Source;
 use peert_model::{Diagram, Value};
 
-use crate::server::Shared;
+use crate::server::QuotaSlot;
 
 /// Everything the service needs to run one simulation session.
 ///
@@ -238,18 +238,27 @@ pub struct SessionResult {
     pub trajectory: Vec<Value>,
 }
 
-/// A detached cancellation token for a session: lets one part of a
-/// program (e.g. a wire connection's reader thread) cancel a session
-/// whose [`SessionHandle`] another part owns. Cloneable and cheap;
-/// cancelling is idempotent and takes effect at the next quantum
-/// boundary, exactly like [`SessionHandle::cancel`].
-#[derive(Clone)]
+/// Where a shard delivers one session's events: each `Chunk` in step
+/// order, then `Done`, after which the shard drops it. Called on the
+/// shard's thread with no server lock held, so it may take locks of its
+/// own (or block, stalling the shard).
+pub type Sink = Box<dyn FnMut(SessionEvent) + Send>;
+
+/// A session's cancellation flag, shared by its submitter and its
+/// shard. Cloneable and cheap; cancelling is idempotent and takes
+/// effect at the next quantum boundary, exactly like
+/// [`SessionHandle::cancel`].
+#[derive(Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
     /// Ask the daemon to stop the session at the next quantum boundary.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Release);
+    }
+
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -259,10 +268,9 @@ impl CancelToken {
 /// over-quota rejection deterministic under test schedules.
 pub struct SessionHandle {
     pub(crate) id: u64,
-    pub(crate) tenant: String,
     pub(crate) events: Receiver<SessionEvent>,
-    pub(crate) cancel: Arc<AtomicBool>,
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) cancel: CancelToken,
+    pub(crate) slot: QuotaSlot,
 }
 
 impl SessionHandle {
@@ -273,19 +281,14 @@ impl SessionHandle {
 
     /// Tenant the session is accounted to.
     pub fn tenant(&self) -> &str {
-        &self.tenant
+        &self.slot.tenant
     }
 
     /// Ask the daemon to stop the session at the next quantum
     /// boundary. Idempotent; racing a natural completion is benign
     /// (the session then reports `Completed`).
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Release);
-    }
-
-    /// A detached [`CancelToken`] for this session.
-    pub fn cancel_token(&self) -> CancelToken {
-        CancelToken(Arc::clone(&self.cancel))
+        self.cancel.cancel();
     }
 
     /// Next stream event (blocking).
@@ -293,25 +296,15 @@ impl SessionHandle {
         self.events.recv().ok()
     }
 
-    /// Drain the stream to completion, assembling the full result.
+    /// Drain the stream to completion, assembling the full result. A
+    /// stream that ends without `Done` reads `Failed`.
     pub fn join(self) -> SessionResult {
-        let mut trajectory = Vec::new();
-        loop {
-            match self.events.recv() {
-                Ok(SessionEvent::Chunk { values, .. }) => trajectory.extend(values),
-                Ok(SessionEvent::Done { outcome, steps }) => {
-                    return SessionResult { outcome, steps, trajectory }
-                }
-                Err(_) => {
-                    let steps = 0;
-                    return SessionResult {
-                        outcome: SessionOutcome::Failed("server dropped the session".into()),
-                        steps,
-                        trajectory,
-                    };
-                }
-            }
-        }
+        // a timeout past the clock's range waits like a plain receive
+        self.join_deadline(Duration::MAX).unwrap_or_else(|why| SessionResult {
+            outcome: SessionOutcome::Failed(why),
+            steps: 0,
+            trajectory: Vec::new(),
+        })
     }
 
     /// Like [`SessionHandle::join`] but bounded per event: if the
@@ -339,12 +332,6 @@ impl SessionHandle {
     }
 }
 
-impl Drop for SessionHandle {
-    fn drop(&mut self) {
-        self.shared.release_tenant(&self.tenant);
-    }
-}
-
 /// The daemon-side half of an admitted session.
 pub(crate) struct SessionTask {
     pub(crate) seq: u64,
@@ -356,6 +343,10 @@ pub(crate) struct SessionTask {
     pub(crate) priority: u8,
     pub(crate) digest: Option<u64>,
     pub(crate) fingerprint: peert_model::DiagramFingerprint,
-    pub(crate) cancel: Arc<AtomicBool>,
-    pub(crate) tx: Sender<SessionEvent>,
+    pub(crate) cancel: CancelToken,
+    /// Taken (and dropped) with `Done`.
+    pub(crate) sink: Option<Sink>,
+    /// The quota slot when no [`SessionHandle`] holds it, dropped just
+    /// before `Done`.
+    pub(crate) slot: Option<QuotaSlot>,
 }

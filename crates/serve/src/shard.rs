@@ -2,6 +2,7 @@
 //! sessions into gangs (one multi-lane `Engine` each), and round-robins
 //! quanta across the active set.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -17,8 +18,6 @@ use crate::session::{LaneOverride, SessionEvent, SessionOutcome, SessionTask};
 pub(crate) enum ShardMsg {
     /// An admitted session.
     Session(Box<SessionTask>),
-    /// A generic job (experiment sweeps).
-    Job(Box<dyn FnOnce() + Send>),
     /// Drain everything already admitted, then exit.
     Shutdown,
 }
@@ -29,25 +28,29 @@ struct Lane {
     recorded: u64,
     flushed: u64,
     chunk: Vec<Value>,
-    done: bool,
 }
 
 impl Lane {
     fn new(task: SessionTask) -> Self {
-        Lane { task, recorded: 0, flushed: 0, chunk: Vec::new(), done: false }
+        Lane { task, recorded: 0, flushed: 0, chunk: Vec::new() }
+    }
+
+    /// Whether the lane has delivered `Done` (and dropped its sink).
+    fn done(&self) -> bool {
+        self.task.sink.is_none()
     }
 
     fn flush(&mut self) {
+        let Some(sink) = &mut self.task.sink else { return };
         if !self.chunk.is_empty() {
             let values = std::mem::take(&mut self.chunk);
-            let _ = self
-                .task
-                .tx
-                .send(SessionEvent::Chunk { start_step: self.flushed, values });
+            sink(SessionEvent::Chunk { start_step: self.flushed, values });
             self.flushed = self.recorded;
         }
     }
 
+    /// Flush, count the outcome, release the quota slot, then deliver
+    /// `Done` (no server lock held) and drop the sink.
     fn finish(&mut self, outcome: SessionOutcome, shared: &Shared) {
         self.flush();
         let mut c = lock(&shared.counters);
@@ -60,8 +63,10 @@ impl Lane {
             SessionOutcome::Failed(_) => c.failed += 1,
         }
         drop(c);
-        let _ = self.task.tx.send(SessionEvent::Done { outcome, steps: self.recorded });
-        self.done = true;
+        drop(self.task.slot.take());
+        if let Some(mut sink) = self.task.sink.take() {
+            sink(SessionEvent::Done { outcome, steps: self.recorded });
+        }
     }
 }
 
@@ -77,13 +82,12 @@ struct Gang {
 
 impl Gang {
     fn live(&self) -> usize {
-        self.lanes.iter().filter(|l| !l.done).count()
+        self.lanes.iter().filter(|l| !l.done()).count()
     }
 }
 
 pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardMsg>) {
     let mut pending: Vec<SessionTask> = Vec::new();
-    let mut jobs: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
     let mut gangs: Vec<Gang> = Vec::new();
     let mut shutting_down = false;
     let queued = &shared.queued[shard];
@@ -91,13 +95,13 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
     loop {
         shared.wait_if_paused();
 
-        let idle = pending.is_empty() && jobs.is_empty() && gangs.is_empty();
+        let idle = pending.is_empty() && gangs.is_empty();
         if idle && !shutting_down {
             // nothing to do: sleep on the queue
             match rx.recv() {
                 Ok(m) => {
                     queued.fetch_sub(1, Ordering::AcqRel);
-                    absorb(m, &mut pending, &mut jobs, &mut shutting_down);
+                    absorb(m, &mut pending, &mut shutting_down);
                 }
                 Err(_) => break,
             }
@@ -109,27 +113,31 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
         }
         while let Ok(m) = rx.try_recv() {
             queued.fetch_sub(1, Ordering::AcqRel);
-            absorb(m, &mut pending, &mut jobs, &mut shutting_down);
+            absorb(m, &mut pending, &mut shutting_down);
         }
 
         if !pending.is_empty() {
             form_gangs(shard, shared, &mut pending, &mut gangs);
         }
 
-        // one quantum per active gang, highest priority first
+        // one quantum per active gang, highest priority first; a gang
+        // that panics ends its live sessions and is dropped
         gangs.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.seq.cmp(&b.seq)));
         for g in &mut gangs {
-            gang_quantum(g, shard, shared);
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| gang_quantum(g, shard, shared))) {
+                let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
+                let text = text.or_else(|| panic.downcast_ref::<String>().cloned());
+                let why = format!("panic: {}", text.unwrap_or_default());
+                for lane in g.lanes.iter_mut().filter(|l| !l.done()) {
+                    lane.finish(SessionOutcome::Failed(why.clone()), shared);
+                }
+            }
         }
         gangs.retain(|g| g.live() > 0);
         if shared.config.compact {
             for g in &mut gangs {
                 maybe_compact(g, shard, shared);
             }
-        }
-
-        for job in jobs.drain(..) {
-            job();
         }
 
         if shutting_down
@@ -142,15 +150,9 @@ pub(crate) fn run_shard(shard: usize, shared: &Arc<Shared>, rx: &Receiver<ShardM
     }
 }
 
-fn absorb(
-    m: ShardMsg,
-    pending: &mut Vec<SessionTask>,
-    jobs: &mut Vec<Box<dyn FnOnce() + Send>>,
-    shutting_down: &mut bool,
-) {
+fn absorb(m: ShardMsg, pending: &mut Vec<SessionTask>, shutting_down: &mut bool) {
     match m {
         ShardMsg::Session(t) => pending.push(*t),
-        ShardMsg::Job(j) => jobs.push(j),
         ShardMsg::Shutdown => *shutting_down = true,
     }
 }
@@ -266,7 +268,7 @@ fn start_gang(
 fn max_remaining(lanes: &[Lane]) -> u64 {
     lanes
         .iter()
-        .filter(|l| !l.done)
+        .filter(|l| !l.done())
         .map(|l| l.task.budget - l.recorded)
         .max()
         .unwrap_or(0)
@@ -274,7 +276,7 @@ fn max_remaining(lanes: &[Lane]) -> u64 {
 
 fn cancel_sweep(lanes: &mut [Lane], shared: &Shared) {
     for lane in lanes.iter_mut() {
-        if !lane.done && lane.task.cancel.load(std::sync::atomic::Ordering::Acquire) {
+        if !lane.done() && lane.task.cancel.is_cancelled() {
             lane.finish(SessionOutcome::Cancelled, shared);
         }
     }
@@ -290,13 +292,13 @@ fn gang_quantum(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     let t0 = Instant::now();
     for _ in 0..q {
         if let Err(e) = gang.engine.step() {
-            for lane in gang.lanes.iter_mut().filter(|l| !l.done) {
+            for lane in gang.lanes.iter_mut().filter(|l| !l.done()) {
                 lane.finish(SessionOutcome::Failed(format!("step: {e:?}")), shared);
             }
             return;
         }
         for (li, lane) in gang.lanes.iter_mut().enumerate() {
-            if !lane.done && lane.recorded < lane.task.budget {
+            if !lane.done() && lane.recorded < lane.task.budget {
                 let probe = |p| gang.engine.probe_lane(li, p);
                 record_probes(&mut lane.chunk, &lane.task.probes, probe);
                 lane.recorded += 1;
@@ -306,7 +308,7 @@ fn gang_quantum(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     let ns_per_step = (t0.elapsed().as_nanos() as u64) / q;
     lock(&shared.shard_states[shard]).hist.record(ns_per_step);
     for lane in &mut gang.lanes {
-        if !lane.done {
+        if !lane.done() {
             lane.flush();
             if lane.recorded == lane.task.budget {
                 lane.finish(SessionOutcome::Completed, shared);
@@ -331,8 +333,8 @@ fn maybe_compact(gang: &mut Gang, shard: usize, shared: &Arc<Shared>) {
     if total < 4 || live == 0 || (total - live) < live {
         return;
     }
-    let keep: Vec<bool> = gang.lanes.iter().map(|l| !l.done).collect();
+    let keep: Vec<bool> = gang.lanes.iter().map(|l| !l.done()).collect();
     gang.engine.retain_lanes(&keep);
-    gang.lanes.retain(|l| !l.done);
+    gang.lanes.retain(|l| !l.done());
     lock(&shared.shard_states[shard]).compactions += 1;
 }

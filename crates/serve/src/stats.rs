@@ -39,8 +39,6 @@ json_struct! {
         /// Sessions whose diagram has a trampoline entry, so they ran in
         /// a one-lane gang of their own.
         pub solo_sessions: u64,
-        /// Generic jobs executed (experiment sweeps).
-        pub jobs: u64,
     }
 }
 

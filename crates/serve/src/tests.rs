@@ -2,15 +2,16 @@
 //! cancellation, compaction and stats — each checked against a solo
 //! [`Engine`] reference where trajectories are involved.
 
-use std::time::Duration;
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use peert_model::library::{Gain, SineWave};
 use peert_model::{Block, BlockCtx, Diagram, Engine, PortCount, Value};
 use peert_trace::{JsonValue, ToJson};
 
 use crate::server::{route_shard, ServeConfig, Server};
-use crate::session::{LaneOverride, Reject, SessionOutcome, SessionSpec};
-use crate::sweep::sweep_map;
+use crate::session::{LaneOverride, Reject, SessionEvent, SessionOutcome, SessionSpec};
 
 const DT: f64 = 1e-3;
 const JOIN: Duration = Duration::from_secs(30);
@@ -25,30 +26,35 @@ fn chain(gain: f64) -> Diagram {
     d
 }
 
-/// A block the kernel cannot lower (default `lower()` → `None`), so
-/// any diagram containing it gets a trampoline entry and runs in a
-/// one-lane gang.
-struct Opaque;
+/// A custom block computing `f` of its input. The kernel cannot lower
+/// it (default `lower()` → `None`), so any diagram containing it gets a
+/// trampoline entry and runs in a one-lane gang.
+struct Custom<F>(&'static str, F);
 
-impl Block for Opaque {
+impl<F: FnMut(f64) -> f64 + Send> Block for Custom<F> {
     fn type_name(&self) -> &'static str {
-        "Opaque"
+        self.0
     }
     fn ports(&self) -> PortCount {
         PortCount::new(1, 1)
     }
     fn output(&mut self, ctx: &mut BlockCtx) {
-        let v = ctx.in_f64(0);
-        ctx.set_output(0, v * v + 0.25);
+        let v = (self.1)(ctx.in_f64(0));
+        ctx.set_output(0, v);
     }
 }
 
-fn opaque_chain() -> Diagram {
+/// sine → a [`Custom`] block of type `name`.
+fn custom_chain(name: &'static str, f: impl FnMut(f64) -> f64 + Send + 'static) -> Diagram {
     let mut d = Diagram::new();
     let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
-    let o = d.add("sq", Opaque).unwrap();
-    d.connect((s, 0), (o, 0)).unwrap();
+    let c = d.add(name, Custom(name, f)).unwrap();
+    d.connect((s, 0), (c, 0)).unwrap();
     d
+}
+
+fn opaque_chain() -> Diagram {
+    custom_chain("Opaque", |v| v * v + 0.25)
 }
 
 /// Step a solo engine `steps` times, probing every port after each
@@ -197,30 +203,12 @@ fn unlowerable_diagram_runs_in_a_one_lane_gang_and_matches_the_reference() {
 /// A custom block with state of its own: it outputs the running sum of
 /// its input. Two sessions sharing one instance would each see the
 /// other's sums.
-struct Accumulate(f64);
-
-impl Block for Accumulate {
-    fn type_name(&self) -> &'static str {
-        "Accumulate"
-    }
-    fn ports(&self) -> PortCount {
-        PortCount::new(1, 1)
-    }
-    fn reset(&mut self) {
-        self.0 = 0.0;
-    }
-    fn output(&mut self, ctx: &mut BlockCtx) {
-        self.0 += ctx.in_f64(0);
-        ctx.set_output(0, self.0);
-    }
-}
-
 fn accumulate_chain() -> Diagram {
-    let mut d = Diagram::new();
-    let s = d.add("sine", SineWave::new(1.0, 10.0)).unwrap();
-    let a = d.add("acc", Accumulate(0.0)).unwrap();
-    d.connect((s, 0), (a, 0)).unwrap();
-    d
+    let mut sum = 0.0;
+    custom_chain("Accumulate", move |v| {
+        sum += v;
+        sum
+    })
 }
 
 #[test]
@@ -244,16 +232,17 @@ fn stateful_custom_block_sessions_each_step_their_own_instances() {
     assert_eq!((stats.plan_cache.misses, stats.plan_cache.hits), (1, 1));
 }
 
-/// Submit `diagram` with one override on a one-shard server: the
-/// session must end `Failed` with a reason naming `value`, and the
-/// next session on the same shard must complete.
-fn refused_override_then_healthy(diagram: Diagram, o: LaneOverride, value: &str) {
+/// Submit `diagram` (with override `o`, if any) on a one-shard server:
+/// the session must end `Failed` with a reason containing `value`, and
+/// the next session on the same shard must complete.
+fn fails_then_healthy(diagram: Diagram, o: Option<LaneOverride>, value: &str) {
     let server = Server::start(ServeConfig { shards: 1, ..small_config() });
-    let bad = SessionSpec::new("t", diagram, DT, 16).probe_all().with_override(o);
+    let mut bad = SessionSpec::new("t", diagram, DT, 16).probe_all();
+    bad.overrides.extend(o);
     let r = server.submit(bad).unwrap().join_deadline(JOIN).unwrap();
     match &r.outcome {
         SessionOutcome::Failed(why) => assert!(why.contains(value), "{why}"),
-        other => panic!("expected the override to be refused, got {other:?}"),
+        other => panic!("expected the session to fail, got {other:?}"),
     }
     let healthy = SessionSpec::new("t", chain(1.5), DT, 16).probe_all();
     let r = server.submit(healthy).unwrap().join_deadline(JOIN).unwrap();
@@ -271,7 +260,7 @@ fn an_empty_saturation_override_fails_its_session_and_the_shard_keeps_serving() 
     let sat = d.add("sat", Saturation::new(-0.5, 1.0).unwrap()).unwrap();
     d.connect((s, 0), (sat, 0)).unwrap();
     // lo = 5 above hi = 1 would panic the clamp
-    refused_override_then_healthy(d, LaneOverride::Param { block: sat, index: 0, value: 5.0 }, "5");
+    fails_then_healthy(d, Some(LaneOverride::Param { block: sat, index: 0, value: 5.0 }), "5");
 }
 
 #[test]
@@ -283,7 +272,67 @@ fn a_transfer_function_length_override_fails_its_session_and_the_shard_keeps_ser
     let tf = d.add("tf", tf).unwrap();
     d.connect((s, 0), (tf, 0)).unwrap();
     // parameter 0 is the numerator length: 9 would index past the window
-    refused_override_then_healthy(d, LaneOverride::Param { block: tf, index: 0, value: 9.0 }, "9");
+    fails_then_healthy(d, Some(LaneOverride::Param { block: tf, index: 0, value: 9.0 }), "9");
+}
+
+#[test]
+fn a_panicking_gang_fails_its_session_and_the_shard_keeps_serving() {
+    let mut step = 0;
+    let d = custom_chain("PanicAtThirdStep", move |v| {
+        step += 1;
+        assert!(step < 3, "custom block gave up at step {step}");
+        v
+    });
+    fails_then_healthy(d, None, "panic: custom block gave up at step 3");
+}
+
+/// A sink sharing a gang with a long session reads the stats (which
+/// deadlocks if the shard holds a server lock) and, at `Done`, submits
+/// at a quota of one (refused unless the slot came back first); the
+/// shard must drop it with `Done`, long before the gang retires.
+#[test]
+fn a_sink_gets_done_last_with_its_quota_back_and_no_server_lock_held() {
+    let config = ServeConfig { shards: 1, tenant_quota: 1, start_paused: true, ..small_config() };
+    let server = Arc::new(Server::start(config));
+    let long = server.submit(SessionSpec::new("long", chain(1.0), DT, 1 << 22)).unwrap();
+    let (tx, events) = channel();
+    let inner = Arc::clone(&server);
+    let spec = SessionSpec::new("t", chain(1.0), DT, 40).probe_all();
+    let sink = move |_| -> crate::Sink {
+        Box::new(move |event| {
+            let again = match event {
+                SessionEvent::Chunk { .. } => {
+                    let _ = inner.stats();
+                    false
+                }
+                SessionEvent::Done { .. } => {
+                    inner.submit(SessionSpec::new("t", chain(1.0), DT, 1)).is_ok()
+                }
+            };
+            tx.send((event, again)).unwrap();
+        })
+    };
+    server.submit_with(spec, sink).unwrap();
+    server.resume();
+    loop {
+        if let (SessionEvent::Done { outcome, steps }, again) =
+            events.recv_timeout(JOIN).expect("sink stalled")
+        {
+            assert_eq!((outcome, steps), (SessionOutcome::Completed, 40));
+            assert!(again, "the quota slot was still held at Done");
+            break;
+        }
+    }
+    let deadline = Instant::now() + JOIN;
+    while Arc::strong_count(&server) > 1 {
+        assert!(Instant::now() < deadline, "the shard kept the sink after Done");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(events.recv().is_err(), "the sink was called after Done");
+    long.cancel();
+    assert_eq!(long.join_deadline(JOIN).unwrap().outcome, SessionOutcome::Cancelled);
+    let stats = Arc::try_unwrap(server).ok().expect("sole owner").shutdown();
+    assert_eq!((stats.counters.completed, stats.counters.cancelled), (2, 1));
 }
 
 #[test]
@@ -414,13 +463,6 @@ fn route_shard_is_stable_and_groups_equal_plans() {
     // unlowerable diagrams still route deterministically
     let c = route_shard(&opaque_chain(), DT, 8);
     assert_eq!(c, route_shard(&opaque_chain(), DT, 8));
-}
-
-#[test]
-fn sweep_map_returns_results_in_submit_order() {
-    let items: Vec<u64> = (0..37).collect();
-    let out = sweep_map(items.clone(), |i| i * i + 1);
-    assert_eq!(out, items.iter().map(|i| i * i + 1).collect::<Vec<_>>());
 }
 
 #[test]

@@ -79,25 +79,24 @@ fn gangs_of(n: u64, max_lanes: u64) -> (u64, u64) {
     (batches, coalesced)
 }
 
-/// Wedge `shard`'s worker inside a job: generic jobs run at the *end*
-/// of a scheduling round, after the queue drain, so once the job
-/// signals it is running the worker provably cannot pop another message
-/// until the returned release handle is dropped — which makes the
-/// queue-overflow arithmetic below exact. Jobs route round-robin, so
-/// `shard` no-op jobs are burned first to land the blocker; the total
-/// job count is returned for the counter oracle.
-fn block_shard(server: &Server, shard: usize) -> (std::sync::mpsc::Sender<()>, u64) {
-    for _ in 0..shard {
-        assert!(server.submit_job(|| {}));
-    }
+/// Wedge the worker `shape(0)` routes to inside the sink of a one-step
+/// `shape(0)` session, which signals and then blocks until the returned
+/// release handle is dropped. Sinks run after the round's queue drain,
+/// so once it signals the worker provably cannot pop another message —
+/// which makes the queue-overflow arithmetic below exact.
+fn block_shard(server: &Server) -> std::sync::mpsc::Sender<()> {
     let (running_tx, running_rx) = std::sync::mpsc::channel::<()>();
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    assert!(server.submit_job(move || {
-        running_tx.send(()).expect("soak main alive");
-        let _ = release_rx.recv(); // released when the sender drops
-    }));
-    running_rx.recv_timeout(JOIN).expect("blocker job never ran");
-    (release_tx, shard as u64 + 1)
+    let blocker = SessionSpec::new("blocker", shape(0), DT, 1);
+    let admitted = server.submit_with(blocker, move |_| {
+        Box::new(move |_event| {
+            running_tx.send(()).expect("soak main alive");
+            let _ = release_rx.recv(); // released when the sender drops
+        })
+    });
+    admitted.expect("an idle server admits the blocker");
+    running_rx.recv_timeout(JOIN).expect("blocker sink never ran");
+    release_tx
 }
 
 #[test]
@@ -175,8 +174,13 @@ fn soak_counters_equal_schedule_derived_expectations() {
     // ── flood phase: wedge one shard's worker, then overflow its
     // bounded queue with one-step sessions of a single shape ─────────
     let flood_shard = route_shard(&shape(0), DT, 4);
-    let (release, jobs) = block_shard(&server, flood_shard);
-    exp.jobs += jobs;
+    let release = block_shard(&server);
+    exp.submitted += 1;
+    exp.accepted += 1;
+    exp.completed += 1;
+    exp.steps_completed += 1;
+    exp.batches += 1;
+    exp_gangs += 1;
 
     let mut flood_handles = Vec::new();
     for i in 0..flood {

@@ -183,8 +183,8 @@ pub struct PilCaseReport {
 pub struct FaultReport {
     /// CRC errors seen by the board parser.
     pub crc_errors: u64,
-    /// Dropped exchanges (corrupt + drop faults).
-    pub dropped_exchanges: u64,
+    /// Failed exchanges (corrupt + drop faults).
+    pub failed_exchanges: u64,
     /// Deadline misses (one per injected overrun).
     pub deadline_misses: u64,
     /// Injected scheduler overruns.
@@ -362,10 +362,10 @@ pub fn run_pil_case(case: &ControllerCase, mcu: &McuSpec) -> Result<PilCaseRepor
     let act_scale = case.actuation_scale();
     let (stats, received, activations) =
         run_session(case, mcu, FaultSchedule::default(), ArqConfig::FIRE_AND_FORGET, act_scale)?;
-    if stats.crc_errors != 0 || stats.dropped_exchanges != 0 {
+    if stats.crc_errors != 0 || stats.failed_exchanges != 0 {
         return Err(format!(
             "clean line reported {} CRC errors / {} drops",
-            stats.crc_errors, stats.dropped_exchanges
+            stats.crc_errors, stats.failed_exchanges
         ));
     }
     if activations != case.steps {
@@ -437,10 +437,10 @@ pub fn run_fault_schedule_case(
     if stats.crc_errors != n_corrupt {
         return Err(format!("crc_errors {} != schedule {}", stats.crc_errors, n_corrupt));
     }
-    if stats.dropped_exchanges != n_corrupt + n_drop {
+    if stats.failed_exchanges != n_corrupt + n_drop {
         return Err(format!(
-            "dropped_exchanges {} != schedule {}",
-            stats.dropped_exchanges,
+            "failed_exchanges {} != schedule {}",
+            stats.failed_exchanges,
             n_corrupt + n_drop
         ));
     }
@@ -468,7 +468,7 @@ pub fn run_fault_schedule_case(
     }
     Ok(FaultReport {
         crc_errors: stats.crc_errors,
-        dropped_exchanges: stats.dropped_exchanges,
+        failed_exchanges: stats.failed_exchanges,
         deadline_misses: stats.deadline_misses,
         injected_overruns: stats.injected_overruns,
     })
@@ -534,10 +534,10 @@ pub fn run_arq_recovery_case(
             stats.duplicate_replies, n_drop_rep
         ));
     }
-    if stats.failed_exchanges != 0 || stats.dropped_exchanges != 0 || stats.degraded_steps != 0 {
+    if stats.failed_exchanges != 0 || stats.degraded_steps != 0 {
         return Err(format!(
-            "under-budget faults lost exchanges: failed {} dropped {} degraded {}",
-            stats.failed_exchanges, stats.dropped_exchanges, stats.degraded_steps
+            "under-budget faults lost exchanges: failed {} degraded {}",
+            stats.failed_exchanges, stats.degraded_steps
         ));
     }
     if activations != case.steps {
@@ -685,7 +685,7 @@ mod tests {
         };
         let r = run_fault_schedule_case(&case, &mcu, &faults).unwrap();
         assert_eq!(
-            (r.crc_errors, r.dropped_exchanges, r.deadline_misses, r.injected_overruns),
+            (r.crc_errors, r.failed_exchanges, r.deadline_misses, r.injected_overruns),
             (2, 4, 1, 1)
         );
     }

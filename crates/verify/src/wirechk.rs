@@ -13,9 +13,9 @@
 //! * a cancel issued while paused lands before the first quantum's
 //!   cancel sweep, so the session ends `Cancelled` with *exactly zero*
 //!   steps on both paths;
-//! * the wire forwarder releases its [`peert_serve::SessionHandle`]
-//!   before the client can see `Done`, so quota accounting over the
-//!   wire matches handle lifetimes in-process.
+//! * the shard releases a wire session's quota slot before its sink
+//!   frames `Done`, so once the client has seen `Done` quota accounting
+//!   over the wire matches handle lifetimes in-process.
 //!
 //! Schedules are sized so per-tenant submission counts routinely exceed
 //! the (deliberately small) quota: the phase proves quota rejections —

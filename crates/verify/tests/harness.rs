@@ -81,8 +81,8 @@ fn reset_after_a_fault_schedule_run_replays_byte_for_byte() {
     let a = diff::run_fault_schedule_case(&case, &mcu, &faults).unwrap();
     let b = diff::run_fault_schedule_case(&case, &mcu, &faults).unwrap();
     assert_eq!(
-        (a.crc_errors, a.dropped_exchanges, a.deadline_misses, a.injected_overruns),
-        (b.crc_errors, b.dropped_exchanges, b.deadline_misses, b.injected_overruns)
+        (a.crc_errors, a.failed_exchanges, a.deadline_misses, a.injected_overruns),
+        (b.crc_errors, b.failed_exchanges, b.deadline_misses, b.injected_overruns)
     );
-    assert_eq!((a.crc_errors, a.dropped_exchanges), (2, 3));
+    assert_eq!((a.crc_errors, a.failed_exchanges), (2, 3));
 }

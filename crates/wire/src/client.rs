@@ -179,24 +179,15 @@ impl WireSession {
     }
 
     /// Drain the stream to completion, assembling the full result —
-    /// the mirror of [`peert_serve::SessionHandle::join`].
+    /// the mirror of [`peert_serve::SessionHandle::join`], down to the
+    /// `Failed` read for a stream that ends without `Done`.
     pub fn join(self) -> SessionResult {
-        let mut trajectory = Vec::new();
-        loop {
-            match self.events.recv() {
-                Ok(SessionEvent::Chunk { values, .. }) => trajectory.extend(values),
-                Ok(SessionEvent::Done { outcome, steps }) => {
-                    return SessionResult { outcome, steps, trajectory }
-                }
-                Err(_) => {
-                    return SessionResult {
-                        outcome: SessionOutcome::Failed("connection dropped the session".into()),
-                        steps: 0,
-                        trajectory,
-                    }
-                }
-            }
-        }
+        // a timeout past the clock's range waits like a plain receive
+        self.join_deadline(Duration::MAX).unwrap_or_else(|why| SessionResult {
+            outcome: SessionOutcome::Failed(why),
+            steps: 0,
+            trajectory: Vec::new(),
+        })
     }
 
     /// Like [`WireSession::join`] but bounded per event (wedge

@@ -1,17 +1,20 @@
 //! The socket front end: a thread-per-connection TCP loop bridging
-//! deframed [`Frame`]s into [`peert_serve::Server::submit`].
+//! deframed [`Frame`]s into [`peert_serve::Server::submit_with`].
 //!
 //! No async runtime — the paper's toolchain philosophy (simple,
 //! inspectable concurrency) carried to the service layer. Per
-//! connection: one *reader* thread (deframe → dispatch), one *writer*
-//! thread (owns all encoding: takes [`Frame`]s from an internal queue,
-//! encodes each one into a single reused buffer together with whatever
-//! else is already queued, and sends the batch with one `write_all`, so
-//! forwarders and the reader never interleave partial frames on the
-//! socket), and one *forwarder* thread per live session (moves the
-//! session's events into `Chunk`/`Done` frames). Both ends set
-//! `TCP_NODELAY`: every batch is a complete message, so holding its
-//! tail back for the peer's delayed ACK only adds latency. All buffers
+//! connection: one *reader* thread (deframe → dispatch) and one
+//! *writer* thread (owns all encoding: takes [`Frame`]s from an
+//! internal queue, encodes each one into a single reused buffer
+//! together with whatever else is already queued, and sends the batch
+//! with one `write_all`, so nothing interleaves partial frames on the
+//! socket), both scoped threads of the accept thread, which closes the
+//! live connections when it stops. A session has no thread: its sink
+//! frames its events onto the writer's queue on the shard's thread, as
+//! the paper's PIL target redirects bean outputs straight into the
+//! buffer its serial link drains. Both ends set `TCP_NODELAY`: every
+//! batch is a complete message, so holding its tail back for the
+//! peer's delayed ACK only adds latency. All buffers
 //! are bounded: the deframer caps payloads at [`MAX_FRAME_PAYLOAD`],
 //! reads go through a fixed read buffer, a write batch stops growing
 //! once it passes the frame cap, and no frame the server sends exceeds
@@ -20,20 +23,21 @@
 //!
 //! Ordering guarantees clients may rely on:
 //!
-//! * `Accepted` is enqueued to the writer *before* the session's
-//!   forwarder starts, so no `Chunk`/`Done` for a session precedes its
-//!   `Accepted`;
-//! * the forwarder drops its [`peert_serve::SessionHandle`] (releasing the tenant's
-//!   quota slot) *before* enqueueing the `Done` frame, so once a client
-//!   has seen `Done`, a follow-up submission cannot be quota-rejected
-//!   by the session that just ended — which is what makes wire-driven
-//!   schedules exactly as predictable as in-process ones;
+//! * the reader holds the connection's session table from admission
+//!   until `Accepted` is queued, and a sink takes that table before it
+//!   queues anything, so no `Chunk`/`Done` precedes `Accepted`;
+//! * the shard releases the tenant's quota slot *before* it hands the
+//!   sink `Done`, so once a client has seen `Done`, a follow-up
+//!   submission cannot be quota-rejected by the session that just
+//!   ended — which is what makes wire-driven schedules exactly as
+//!   predictable as in-process ones;
 //! * `CancelAck` is sent only after the cancel flag is set (or the id
 //!   was found dead), so a client that has its ack knows the daemon
 //!   will not step the session past the current quantum.
 //!
 //! A dropped connection cancels every session it still owns — a client
-//! that vanishes mid-stream stops costing compute within one quantum.
+//! that vanishes mid-stream stops costing compute within one quantum —
+//! and its writer exits once they have all delivered `Done`.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -41,27 +45,32 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 
 use peert_frame::Deframer;
 use peert_model::graph::BlockId;
-use peert_serve::{CancelToken, LaneOverride, Reject, Server, SessionEvent, SessionSpec};
+use peert_model::lock;
+use peert_serve::{CancelToken, LaneOverride, Reject, Server, SessionEvent, SessionSpec, Sink};
 
 use crate::codec::{
     chunk_frames, Frame, WireOverride, WireSpec, ERR_MALFORMED, ERR_UNEXPECTED, ERR_VERSION,
     MAX_CHUNK_VALUES, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 
+/// A clone of every live connection's stream, by connection number.
+type Conns = Mutex<HashMap<u64, TcpStream>>;
+/// One connection's running sessions: id → cancel token.
+type Live = Arc<Mutex<HashMap<u64, CancelToken>>>;
+
 /// A running wire front end over a [`peert_serve::Server`].
 pub struct WireServer {
     addr: SocketAddr,
     closed: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// A clone of every live connection's stream, by connection number,
-    /// for shutdown to close. A connection drops its own entry once its
-    /// reader exits, so the map holds live connections only.
-    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    /// The accept thread's live connections (each leaves when its
+    /// reader exits), for the tests to inspect.
+    #[cfg(test)]
+    conns: Arc<Conns>,
 }
 
 impl WireServer {
@@ -71,41 +80,24 @@ impl WireServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let closed = Arc::new(AtomicBool::new(false));
-        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
+        let conns: Arc<Conns> = Arc::new(Mutex::new(HashMap::new()));
         let accept = {
             let closed = Arc::clone(&closed);
-            let threads = Arc::clone(&threads);
             let conns = Arc::clone(&conns);
             std::thread::Builder::new()
                 .name("peert-wire-accept".into())
                 .spawn(move || {
-                    for (id, stream) in (0u64..).zip(listener.incoming()) {
-                        if closed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        // a failure only costs latency, never correctness
-                        let _ = stream.set_nodelay(true);
-                        if let Ok(peer) = stream.try_clone() {
-                            conns.lock().expect("conns lock").insert(id, peer);
-                        }
-                        let server = Arc::clone(&server);
-                        let threads2 = Arc::clone(&threads);
-                        let conns2 = Arc::clone(&conns);
-                        let handle = std::thread::Builder::new()
-                            .name("peert-wire-conn".into())
-                            .spawn(move || {
-                                run_connection(&server, stream, &threads2);
-                                conns2.lock().expect("conns lock").remove(&id);
-                            })
-                            .expect("spawn wire connection");
-                        track(&threads, handle);
-                    }
+                    std::thread::scope(|s| accept_loop(s, &listener, &server, &closed, &conns));
                 })
                 .expect("spawn wire accept loop")
         };
-        Ok(WireServer { addr, closed, accept: Some(accept), threads, conns })
+        Ok(WireServer {
+            addr,
+            closed,
+            accept: Some(accept),
+            #[cfg(test)]
+            conns,
+        })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
@@ -114,60 +106,78 @@ impl WireServer {
     }
 
     /// Stop accepting, close every live connection and join all
-    /// connection/forwarder threads. Sessions still streaming are
+    /// connection and writer threads. Sessions still streaming are
     /// cancelled by their connections' teardown; call this after
-    /// draining (or after [`peert_serve::Server::resume`]) so
-    /// cancelled sessions can reach their `Done` events.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// draining (or after [`peert_serve::Server::resume`]) so cancelled
+    /// sessions can reach their `Done` events. Dropping the front end
+    /// does the same.
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
-        if self.closed.swap(true, Ordering::AcqRel) {
-            return;
-        }
+impl Drop for WireServer {
+    fn drop(&mut self) {
+        self.closed.store(true, Ordering::Release);
         // Wake the blocking accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for (_, c) in self.conns.lock().expect("conns lock").drain() {
-            let _ = c.shutdown(std::net::Shutdown::Both);
-        }
-        // Connection threads spawn forwarders that push into the same
-        // vec; loop until it stays empty so late arrivals get joined.
-        loop {
-            let drained: Vec<_> =
-                self.threads.lock().expect("threads lock").drain(..).collect();
-            if drained.is_empty() {
-                break;
-            }
-            for h in drained {
-                let _ = h.join();
-            }
-        }
     }
 }
 
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// One connection: deframe, dispatch, tear down.
-fn run_connection(
-    server: &Arc<Server>,
-    stream: TcpStream,
-    threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+/// Accept connections until `closed`, each served by scoped reader and
+/// writer threads; then close the live ones so the scope can join them.
+fn accept_loop<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    listener: &TcpListener,
+    server: &'scope Server,
+    closed: &AtomicBool,
+    conns: &'scope Conns,
 ) {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if closed.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // a failure only costs latency, never correctness
+        let _ = stream.set_nodelay(true);
+        // a connection shutdown cannot close is never served
+        let Ok(peer) = stream.try_clone() else { continue };
+        lock(conns).insert(id, peer);
+        std::thread::Builder::new()
+            .name("peert-wire-conn".into())
+            .spawn_scoped(scope, move || {
+                let _entry = ConnEntry { conns, id };
+                run_connection(scope, server, stream);
+            })
+            .expect("spawn wire connection");
+    }
+    for (_, c) in lock(conns).drain() {
+        let _ = c.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// A connection's `conns` entry, removed however its reader exits.
+struct ConnEntry<'a> {
+    conns: &'a Conns,
+    id: u64,
+}
+
+impl Drop for ConnEntry<'_> {
+    fn drop(&mut self) {
+        lock(self.conns).remove(&self.id);
+    }
+}
+
+/// One connection: start its writer, deframe and dispatch, tear down.
+fn run_connection<'scope>(scope: &'scope Scope<'scope, '_>, server: &Server, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else { return };
     // The writer thread encodes and sends every outbound frame;
-    // everything else holds a Sender<Frame>.
+    // the reader and the sinks hold a Sender<Frame>.
     let (out_tx, out_rx) = channel::<Frame>();
-    let writer = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name("peert-wire-write".into())
-        .spawn(move || {
+        .spawn_scoped(scope, move || {
             let mut w = write_half;
             let mut batch = Vec::new();
             while let Ok(frame) = out_rx.recv() {
@@ -185,11 +195,9 @@ fn run_connection(
             let _ = w.shutdown(std::net::Shutdown::Both);
         })
         .expect("spawn wire writer");
-    track(threads, writer);
 
-    // Sessions this connection owns: id → cancel token. Forwarders
-    // remove themselves on Done; teardown cancels whatever remains.
-    let live: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
+    // Sinks remove their session at Done; teardown cancels the rest.
+    let live: Live = Arc::new(Mutex::new(HashMap::new()));
 
     let mut reader = stream;
     let mut deframer = Deframer::new(MAX_FRAME_PAYLOAD);
@@ -212,10 +220,10 @@ fn run_connection(
             }
             match Frame::decode(&raw) {
                 Ok(Frame::Submit { request_id, spec }) => {
-                    handle_submit(server, request_id, spec, &out_tx, &live, threads);
+                    handle_submit(server, request_id, spec, &out_tx, &live);
                 }
                 Ok(Frame::Cancel { session_id }) => {
-                    let token = live.lock().expect("live lock").get(&session_id).cloned();
+                    let token = lock(&live).get(&session_id).cloned();
                     let known = token.is_some();
                     if let Some(t) = token {
                         t.cancel();
@@ -238,22 +246,21 @@ fn run_connection(
         }
     }
 
-    // Disconnect: whatever the client still owned gets cancelled. The
-    // forwarders drain the resulting Done events and exit on their own.
-    for (_, token) in live.lock().expect("live lock").drain() {
+    // Disconnect: whatever the client still owned gets cancelled.
+    for (_, token) in lock(&live).drain() {
         token.cancel();
     }
 }
 
-/// Decode a submission into a [`SessionSpec`], submit it, and either
-/// start a forwarder (accepted) or answer with the typed rejection.
+/// Decode a submission into a [`SessionSpec`] and submit it with a
+/// sink onto this connection's writer, answering `Accepted` or the
+/// typed rejection.
 fn handle_submit(
-    server: &Arc<Server>,
+    server: &Server,
     request_id: u64,
     sub: WireSpec,
     out_tx: &Sender<Frame>,
-    live: &Arc<Mutex<HashMap<u64, CancelToken>>>,
-    threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    live: &Live,
 ) {
     // Like a build failure below, this is refused before Server::submit,
     // so the daemon's counters are untouched.
@@ -309,62 +316,35 @@ fn handle_submit(
         priority: sub.priority,
         deadline_budget: sub.deadline_ns.map(std::time::Duration::from_nanos),
     };
-    match server.submit(spec) {
+    // held until Accepted is queued: the sink takes `live` first
+    let mut owned = lock(live);
+    let make_sink = |id| session_sink(id, per_step, out_tx.clone(), Arc::clone(live));
+    match server.submit_with(spec, make_sink) {
         Err(reject) => send(out_tx, Frame::Rejected { request_id, reject }),
-        Ok(handle) => {
-            let session_id = handle.id();
-            live.lock().expect("live lock").insert(session_id, handle.cancel_token());
-            // Accepted goes through the writer queue before the
-            // forwarder exists, so it precedes every Chunk/Done.
+        Ok((session_id, token)) => {
+            owned.insert(session_id, token);
             send(out_tx, Frame::Accepted { request_id, session_id });
-            let out_tx = out_tx.clone();
-            let live = Arc::clone(live);
-            let fwd = std::thread::Builder::new()
-                .name("peert-wire-fwd".into())
-                .spawn(move || {
-                    let handle = handle;
-                    loop {
-                        match handle.next_event() {
-                            Some(SessionEvent::Chunk { start_step, values }) => {
-                                for frame in
-                                    chunk_frames(session_id, start_step, per_step, values)
-                                {
-                                    send(&out_tx, frame);
-                                }
-                            }
-                            Some(SessionEvent::Done { outcome, steps }) => {
-                                live.lock().expect("live lock").remove(&session_id);
-                                // Release the quota slot before the
-                                // client can possibly see Done.
-                                drop(handle);
-                                send(&out_tx, Frame::Done { session_id, outcome, steps });
-                                break;
-                            }
-                            None => {
-                                live.lock().expect("live lock").remove(&session_id);
-                                break;
-                            }
-                        }
-                    }
-                })
-                .expect("spawn wire forwarder");
-            track(threads, fwd);
         }
     }
 }
 
-/// Keep `handle` for [`WireServer::shutdown`] to join, first joining
-/// the threads that already exited, so a long-lived server holds one
-/// handle per *live* thread rather than one per session it ever ran.
-fn track(threads: &Mutex<Vec<JoinHandle<()>>>, handle: JoinHandle<()>) {
-    let mut threads = threads.lock().expect("threads lock");
-    let (done, live) = threads.drain(..).partition(|h: &JoinHandle<()>| h.is_finished());
-    *threads = live;
-    for h in done {
-        // as at shutdown: a thread's panic only ends its own connection
-        let _ = h.join();
-    }
-    threads.push(handle);
+/// One session's sink: chunks become frames split at step boundaries;
+/// `Done` leaves `live`, then goes out as a frame.
+fn session_sink(session_id: u64, per_step: usize, out_tx: Sender<Frame>, live: Live) -> Sink {
+    Box::new(move |event| {
+        let mut owned = lock(&live);
+        match event {
+            SessionEvent::Chunk { start_step, values } => {
+                for frame in chunk_frames(session_id, start_step, per_step, values) {
+                    send(&out_tx, frame);
+                }
+            }
+            SessionEvent::Done { outcome, steps } => {
+                owned.remove(&session_id);
+                send(&out_tx, Frame::Done { session_id, outcome, steps });
+            }
+        }
+    })
 }
 
 fn send(out_tx: &Sender<Frame>, frame: Frame) {
@@ -419,8 +399,9 @@ mod tests {
     }
 
     #[test]
-    fn closed_connections_release_their_streams() {
-        let server = Arc::new(Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }));
+    fn closed_connections_release_their_streams_and_shutdown_closes_the_rest() {
+        let config = ServeConfig { shards: 1, quantum: 4, ..ServeConfig::default() };
+        let server = Arc::new(Server::start(config));
         let wire = WireServer::start(Arc::clone(&server), "127.0.0.1:0").unwrap();
         for _ in 0..64 {
             WireClient::connect(wire.local_addr()).unwrap().close();
@@ -432,9 +413,16 @@ mod tests {
         eventually("only the live connection holds a stream", || {
             wire.conns.lock().unwrap().len() <= 1
         });
-        live.close();
-        eventually("no stream is held", || wire.conns.lock().unwrap().is_empty());
+        // shutdown closes the live connection, which cancels its session
+        // mid-stream, and joins every connection and writer thread
+        let endless = live.submit(WireSpec::new("t", constant_gain(), u64::MAX / 2)).unwrap();
+        let conns = Arc::clone(&wire.conns);
         wire.shutdown();
+        assert!(conns.lock().unwrap().is_empty(), "a stream outlived shutdown");
+        let server = Arc::try_unwrap(server).ok().expect("a wire thread outlived shutdown");
+        assert!(endless.join_deadline(Duration::from_secs(10)).is_err());
+        live.close();
+        assert_eq!(server.shutdown().counters.cancelled, 1);
     }
 
     /// A Sine feeding a chain of 600 Gains, every port probed, in
@@ -587,19 +575,24 @@ mod tests {
         rejected_invalid_then_healthy(spec);
     }
 
+    /// `Accepted` precedes every `Chunk`/`Done` of its session (the
+    /// client drops frames for sessions it does not know, so an early
+    /// `Done` would wedge the join), and the quota slot is back before
+    /// `Done` is visible (or the next submission would be refused at a
+    /// quota of one).
     #[test]
-    fn finished_session_threads_are_not_retained() {
-        let server = Arc::new(Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }));
+    fn a_client_that_has_seen_done_resubmits_at_quota_one() {
+        let config = ServeConfig { shards: 1, tenant_quota: 1, ..ServeConfig::default() };
+        let server = Arc::new(Server::start(config));
         let wire = WireServer::start(Arc::clone(&server), "127.0.0.1:0").unwrap();
         let mut client = WireClient::connect(wire.local_addr()).unwrap();
-        for _ in 0..64 {
-            let session = client.submit(WireSpec::new("t", constant_gain(), 8)).unwrap();
-            assert_eq!(session.join().outcome, SessionOutcome::Completed);
+        for _ in 0..256 {
+            let spec = WireSpec::new("t", constant_gain(), 1).probe(1, 0);
+            let session = client.submit(spec).expect("a client that saw Done is under quota");
+            let result = session.join_deadline(Duration::from_secs(10)).unwrap();
+            assert_eq!(result.outcome, SessionOutcome::Completed);
+            assert_eq!(result.trajectory, vec![Value::F64(2.0)]);
         }
-        // connection reader + writer, the last forwarder, and whichever
-        // forwarders were still unwinding when a later one was tracked
-        let held = wire.threads.lock().unwrap().len();
-        assert!(held <= 8, "server holds {held} thread handles after 64 sequential sessions");
         client.close();
         wire.shutdown();
     }

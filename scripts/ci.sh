@@ -68,10 +68,10 @@ run python3 scripts/check_sim_counts.py
 run env PIL_SOAK=1 cargo test --release --test pil_soak --offline -- --nocapture
 
 # serving-layer gate: the in-crate tests (bit-exact gangs, refused
-# per-lane overrides ending their session while the shard keeps
-# serving, one-lane gangs for diagrams with trampoline entries, in-place
-# compaction), the scheduler/admission property tests, plus the
-# coalesced-vs-solo throughput bench staying compilable (the recorded
+# per-lane overrides and panicking gangs ending their sessions while
+# the shard keeps serving, one-lane gangs for diagrams with trampoline
+# entries, in-place compaction, sinks), the scheduler/admission
+# property tests, plus the coalesced-vs-solo throughput bench staying compilable (the recorded
 # numbers are BENCH_serve.json / E17)
 run cargo test --release -q -p peert-serve --lib --offline
 run cargo test --release -q -p peert-serve --test serve_props --offline
@@ -79,10 +79,9 @@ run cargo bench --no-run --bench serve_throughput -p peert-bench --offline
 
 # deterministic service soak (10^3 sessions, 8 tenants, quota exhaustion,
 # cancellations, queue-overflow flood; final counters must equal the
-# schedule-derived expectation exactly): opt-in
-if [[ "${SERVE_SOAK:-0}" == "1" ]]; then
-        run env SERVE_SOAK=1 cargo test --release -p peert-serve --test serve_soak --offline -- --nocapture
-fi
+# schedule-derived expectation exactly): under a second, so every run
+# takes it
+run env SERVE_SOAK=1 cargo test --release -p peert-serve --test serve_soak --offline -- --nocapture
 
 # wire-protocol gate: the frame layer's own tests (slicing-by-8 CRC16
 # against the bitwise definition, in-place frame encoding), the
@@ -90,7 +89,8 @@ fi
 # truncation, garbage — corrupted frames dropped with resync, never a
 # panic or a wedge; bulk push_slice equal to byte-at-a-time push), the
 # server regression tests (TCP_NODELAY on both ends, closed connections
-# release their streams, oversized chunks split at step boundaries) and
+# release their streams, oversized chunks split at step boundaries,
+# quota back before Done) and
 # the golden-bytes layout pin (any layout drift must come with a
 # deliberate PROTOCOL_VERSION bump)
 run cargo test --release -q -p peert-frame --offline
@@ -101,10 +101,8 @@ run cargo test --release -q -p peert-wire --test wire_golden --offline
 # deterministic wire soak (multi-client loopback waves, quota exhaustion
 # over the wire, deadline rejections, cancel flood, mid-stream
 # disconnects; final counters must equal the schedule-derived
-# expectation exactly): opt-in, mirrors SERVE_SOAK
-if [[ "${WIRE_SOAK:-0}" == "1" ]]; then
-        run env WIRE_SOAK=1 cargo test --release -p peert-wire --test wire_soak --offline -- --nocapture
-fi
+# expectation exactly): mirrors SERVE_SOAK
+run env WIRE_SOAK=1 cargo test --release -p peert-wire --test wire_soak --offline -- --nocapture
 
 # simulated-CAN-bus gate: arbitration/fault property battery (priority
 # respected under arbitrary interleavings, no schedule wedges the bus,
@@ -114,10 +112,8 @@ run cargo test --release -q -p peert-bus --test bus_props --offline
 
 # distributed-PIL bus soak (10^5 multi-node steps, one partition window,
 # every counter equal to its schedule-derived expectation, post-recovery
-# trajectory bit-identical to the clean run): opt-in
-if [[ "${BUS_SOAK:-0}" == "1" ]]; then
-        run env BUS_SOAK=1 cargo test --release --test bus_soak --offline -- --nocapture
-fi
+# trajectory bit-identical to the clean run): seconds in release
+run env BUS_SOAK=1 cargo test --release --test bus_soak --offline -- --nocapture
 
 # static-analysis gate: the built-in demo model must lint deny-clean,
 # and the machine-readable output must be byte-reproducible (two runs

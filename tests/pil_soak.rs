@@ -101,7 +101,6 @@ fn seeded_soak_recovers_every_fault_with_exact_accounting() {
     assert_eq!(stats.crc_errors, exp.corrupt);
     assert_eq!(stats.duplicate_replies, exp.drop_reply);
     assert_eq!(stats.failed_exchanges, 0, "an under-budget soak never fails an exchange");
-    assert_eq!(stats.dropped_exchanges, 0);
     assert_eq!(stats.degraded_steps, 0);
     assert_eq!(stats.degraded_at_step, None);
     assert!(!session.is_degraded());

@@ -183,7 +183,7 @@ fn arq_counters_round_trip_through_both_exporters() {
     assert_eq!(counter("pil.board.pil.timeouts"), stats.timeouts);
     assert_eq!(counter("pil.board.pil.degraded_steps"), stats.degraded_steps);
     assert_eq!(counter("pil.board.pil.duplicate_replies"), stats.duplicate_replies);
-    assert_eq!(counter("pil.board.pil.dropped_exchanges"), stats.failed_exchanges);
+    assert_eq!(counter("pil.board.pil.failed_exchanges"), stats.failed_exchanges);
 
     // --- Chrome exporter: one balanced retry span per retransmission ---
     let chrome = chrome_trace_json(&[("pil.board", board)]);
